@@ -8,9 +8,9 @@ and every inner product reduces to the single-mode Gaussian kernel
 
     <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v),
 
-so norms, overlaps and a closed family of unitaries are evaluated with no
-truncation error at any amplitude.  The unitaries that keep the
-representation finite are:
+so norms, overlaps, quadrature half-line elements and a closed family of
+unitaries are evaluated with no truncation error at any amplitude.  The
+unitaries that keep the representation finite are:
 
     displacement    D(e)|a> = exp(i Im(e conj(a))) |a+e>
     parity          P|a>    = |-a>
@@ -44,6 +44,7 @@ __all__ = [
     "gram_matrix",
     "tensor",
     "partial_overlap",
+    "half_line_overlap",
 ]
 
 #: amplitude-tuple merge tolerance; far below the overlap-kernel
@@ -387,3 +388,23 @@ def partial_overlap(bra: CoherentSuperposition, ket: CoherentSuperposition,
             new.append(CoherentTerm(c, tuple(tk.amps[m] for m in keep)))
     return CoherentSuperposition(len(keep), tuple(new),
                                  max(bra.tol, ket.tol))
+
+
+def half_line_overlap(u, v, sign: int) -> complex:
+    """<u|Theta(sign X)|v> between single-mode coherent kets, X = a + a+.
+
+    The product of the two X-wavefunctions is <u|v> times a unit-variance
+    Gaussian centred on conj(u) + v, so the half-line integral is
+    <u|v> erfc(-sign (conj(u) + v) / sqrt 2) / 2.  The stdlib erfc is
+    real, so conj(u) + v must be real; anything else raises rather than
+    being silently approximated.
+    """
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    u, v = _as_complex(u), _as_complex(v)
+    centre = u.conjugate() + v
+    if abs(centre.imag) > 1e-12 * max(1.0, abs(u) + abs(v)):
+        raise ValueError(
+            f"conj(u) + v = {centre} is not real; the half-line element "
+            "needs a complex erfc")
+    return _kernel(u, v) * 0.5 * math.erfc(-sign * centre.real / math.sqrt(2))

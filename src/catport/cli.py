@@ -3,7 +3,7 @@
 Subcommands: validate | bell | eigen | teleport | sweep | homodyne.
 Experiment parameters come from a strict JSON config (--config); unknown
 keys are rejected so a typo can never silently change a sweep.  Run
-control lives on flags: --seed, --out, --format, --dims.  Exit codes:
+control lives on flags: --seed, --out, --format.  Exit codes:
 0 success, 1 a validation/check failure, 2 a config error.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -93,8 +94,18 @@ def serialize_config(cfg: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _positive(x) -> float:
+def _finite(x) -> float:
+    # bool is an int subclass and float() parses strings: refuse both
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{x!r} is not a number")
     v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"{x!r} is not finite")
+    return v
+
+
+def _positive(x) -> float:
+    v = _finite(x)
     if not v > 0:
         raise ValueError(f"{v} is not positive")
     return v
@@ -104,22 +115,20 @@ def _complex_field(x) -> complex:
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
             raise ValueError("complex values are [re, im] pairs")
-        return complex(float(x[0]), float(x[1]))
-    return complex(float(x))
+        return complex(_finite(x[0]), _finite(x[1]))
+    return complex(_finite(x))
 
 
 def _pos_int(x) -> int:
-    v = int(x)
-    if v != x or v < 1:
+    if _finite(x) != int(x) or x < 1:
         raise ValueError(f"{x} is not a positive integer")
-    return v
+    return int(x)
 
 
 def _nonneg_int(x) -> int:
-    v = int(x)
-    if v != x or v < 0:
+    if _finite(x) != int(x) or x < 0:
         raise ValueError(f"{x} is not a nonnegative integer")
-    return v
+    return int(x)
 
 
 def _choice(*allowed):
@@ -137,7 +146,7 @@ def _grid(x) -> list[float]:
 
 
 def _freqs(x):
-    rows = [tuple(int(v) for v in row) for row in x]
+    rows = [tuple(_pos_int(v) for v in row) for row in x]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError("freqs must be two [omega, omega] rows")
     for r in rows:
@@ -156,7 +165,7 @@ _TELEPORT_SCHEMA = {
     "mode": (_choice("enumerate", "sample"), "enumerate"),
     "trials": (_pos_int, 1),
     "freqs": (_freqs, ((2, 2), (2, 2))),
-    "collapse": (_choice("auto", "exact", "branch"), "auto"),
+    "collapse": (_choice("exact", "branch"), "exact"),
     "baseline_trials": (_nonneg_int, 0),
 }
 
@@ -246,7 +255,7 @@ def cmd_eigen(args) -> int:
         for lab in LABELS:
             rows.extend(sweep_eigen_rows(
                 cfg["amplitudes"], operator=operator, label=lab,
-                n=cfg["n"], m=cfg["m"], seed=args.seed))
+                n=cfg["n"], m=cfg["m"]))
     _emit_rows(rows, EIGEN_SWEEP_COLUMNS, args)
     return EXIT_OK
 
@@ -259,8 +268,7 @@ def _run_protocol(cfg, args):
                                   trials=cfg["trials"])
     return run_teleport_homodyne(target, cfg["alpha"], cfg["beta"],
                                  freqs=cfg["freqs"],
-                                 collapse=cfg["collapse"],
-                                 dims=args.dims, mode=cfg["mode"],
+                                 collapse=cfg["collapse"], mode=cfg["mode"],
                                  seed=args.seed, trials=cfg["trials"])
 
 
@@ -269,27 +277,26 @@ def cmd_teleport(args, force_path=None) -> int:
     if force_path is not None:
         cfg["path"] = force_path
     run = _run_protocol(cfg, args)
+    baseline = None
+    if cfg["baseline_trials"]:
+        baseline = classical_baseline(
+            TargetState(cfg["c_a"], cfg["c_b"], cfg["gamma"]),
+            cfg["alpha"], cfg["beta"], cfg["baseline_trials"],
+            seed=args.seed)
     if args.format == "csv":
         _emit(rows_to_csv(run_to_rows(run), RESULT_COLUMNS), args.out)
     else:
         doc = run_to_json_doc(run)
-        if cfg["baseline_trials"]:
-            guess, fid = classical_baseline(
-                TargetState(cfg["c_a"], cfg["c_b"], cfg["gamma"]),
-                cfg["alpha"], cfg["beta"], cfg["baseline_trials"],
-                seed=args.seed)
+        if baseline is not None:
             doc["baseline"] = {"trials": cfg["baseline_trials"],
-                               "guess_rate": guess, "avg_fidelity": fid}
+                               "guess_rate": baseline[0],
+                               "avg_fidelity": baseline[1]}
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     print(f"average fidelity {run.average_fidelity!r}  "
           f"inconclusive rate {run.inconclusive_rate!r}", file=sys.stderr)
-    if cfg["baseline_trials"] and args.format == "csv":
-        guess, fid = classical_baseline(
-            TargetState(cfg["c_a"], cfg["c_b"], cfg["gamma"]),
-            cfg["alpha"], cfg["beta"], cfg["baseline_trials"],
-            seed=args.seed)
-        print(f"baseline guess rate {guess!r}  baseline fidelity {fid!r}",
-              file=sys.stderr)
+    if baseline is not None and args.format == "csv":
+        print(f"baseline guess rate {baseline[0]!r}  "
+              f"baseline fidelity {baseline[1]!r}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -298,12 +305,11 @@ def cmd_sweep(args) -> int:
     if cfg["kind"] == "eigen":
         rows = sweep_eigen_rows(cfg["grid"], operator=cfg["operator"],
                                 label=BellLabel(cfg["label"]), n=cfg["n"],
-                                m=cfg["m"], seed=args.seed)
+                                m=cfg["m"])
         _emit_rows(rows, EIGEN_SWEEP_COLUMNS, args)
     else:
         rows = sweep_fidelity_rows(cfg["grid"], c_a=cfg["c_a"],
-                                   c_b=cfg["c_b"], path=cfg["path"],
-                                   seed=args.seed)
+                                   c_b=cfg["c_b"], path=cfg["path"])
         _emit_rows(rows, FIDELITY_SWEEP_COLUMNS, args)
     return EXIT_OK
 
@@ -323,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH",
                        help="write results here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--dims", type=int, default=None, metavar="N",
-                       help="truncation override for exact homodyne collapse")
 
     p = sub.add_parser("validate", help="run the invariant suite")
     p.add_argument("--self-test", action="store_true",

@@ -3,8 +3,8 @@
 Everything here is a dense numpy computation in a finite Fock space.  It
 exists to cross-validate the exact coherent algebra, to evolve states at
 arbitrary interaction times (where no finite coherent superposition
-exists), and to build the quadrature half-line projectors used by the
-homodyne-detection path.
+exists), and to build quadrature half-line projectors that check the
+closed-form homodyne collapse in the tests.
 
 Conventions:
     quadrature      X = a + a+   (vacuum variance <X^2> = 1, coherent
@@ -240,8 +240,8 @@ def half_line_projector(dim: int, sign: int) -> np.ndarray:
     Built from the eigendecomposition of the truncated X, so P^2 = P,
     P+ + P- = I and Hermiticity hold to machine precision.  The half-line
     *mass* it assigns converges only ~O(1/dim) toward the continuum
-    Gaussian integral; use closed-form erfc values when 1e-3 is not
-    enough.  A zero eigenvalue (odd dim only) is assigned to the positive
+    Gaussian integral that ``algebra.half_line_overlap`` gives in closed
+    form.  A zero eigenvalue (odd dim only) is assigned to the positive
     side.
     """
     if dim < 2:

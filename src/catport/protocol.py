@@ -27,8 +27,8 @@ Homodyne path: entangling T with a by a second pi-point interaction
 turns the Bell measurement into two sign-of-quadrature readings; the
 sign pair selects the same four corrections.  Collapse is computed
 either per coherent branch (error bounded by the reported Gaussian
-sign-error 1/2 erfc(sqrt(2) amp)) or exactly with truncated half-line
-projectors.
+sign-error 1/2 erfc(sqrt(2) amp)) or exactly, at every amplitude, from
+the closed-form half-line overlaps <u|Theta(+-X)|v> of coherent states.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fock
 from .algebra import (CoherentSuperposition, DegenerateStateError,
-                      fidelity, norm, normalize, overlap, partial_overlap,
-                      tensor)
+                      fidelity, gram_matrix, half_line_overlap, norm,
+                      normalize, overlap, partial_overlap, tensor)
 from .bell import (LABELS, BellLabel, QuasiBellSet,
                    generate_from_dynamics, make_quasi_bell,
                    measurement_bits)
@@ -163,20 +162,6 @@ def apply_correction(bob: CoherentSuperposition, label: CorrectionLabel,
     if label is CorrectionLabel.DISP:
         return bob.displace(0, mu).scaled(1j)
     return bob.displace(0, mu).parity(0).scaled(1j)
-
-
-def fock_correction(dim: int, label: CorrectionLabel, beta: float) -> np.ndarray:
-    """Truncated-Fock matrix of the same receiver unitary."""
-    label = CorrectionLabel(label)
-    if label is CorrectionLabel.IDENTITY:
-        return np.eye(dim, dtype=complex)
-    if label is CorrectionLabel.PARITY:
-        return np.asarray(fock.fock_parity(dim))
-    mu = correction_mu(beta)
-    d = 1j * np.asarray(fock.fock_displacement(dim, mu))
-    if label is CorrectionLabel.DISP:
-        return d
-    return np.asarray(fock.fock_parity(dim)) @ d
 
 
 # ---------------------------------------------------------------------------
@@ -510,27 +495,22 @@ def _derive_sign_corrections(alpha: float, beta: float, gamma: float,
 
 
 def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
-                          freqs=DEFAULT_FREQS, collapse: str = "auto",
-                          dims=None, mode: str = "enumerate",
-                          seed: int | None = None,
+                          freqs=DEFAULT_FREQS, collapse: str = "exact",
+                          mode: str = "enumerate", seed: int | None = None,
                           trials: int = 1) -> ProtocolRun:
     """Run the sign-of-quadrature path.
 
     collapse="branch" selects coherent branches by the sign of their mean
     (valid once the sign separation is a few vacuum widths; the per-mode
     error bound is reported), collapse="exact" computes sign
-    probabilities and fidelities with truncated half-line projectors,
-    "auto" picks exact below amplitude 3.  ``dims`` overrides the
-    per-mode truncation for the exact route.
+    probabilities and fidelities from closed-form half-line overlaps, at
+    every amplitude.
     """
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
-    if collapse not in ("auto", "exact", "branch"):
-        raise ValueError("collapse must be auto, exact or branch")
+    if collapse not in ("exact", "branch"):
+        raise ValueError("collapse must be exact or branch")
     state = three_mode_state(target, alpha, beta, freqs)
-    max_amp = state.max_abs_amplitude()
-    if collapse == "auto":
-        collapse = "exact" if max_amp <= 3.0 else "branch"
     mapping = _derive_sign_corrections(alpha, beta, target.gamma, freqs)
     grouped = _group_by_signs(state)
     ideal = target.ideal_bob(beta)
@@ -552,7 +532,7 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
             else:
                 fids[pair] = 0.0
     else:
-        probs, fids = _exact_sign_statistics(state, mapping, ideal, beta, dims)
+        probs, fids = _closed_form_sign_statistics(state, mapping, ideal, beta)
 
     branches = []
     avg = 0.0
@@ -582,38 +562,32 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
         freqs=tuple(tuple(r) for r in freqs))
 
 
-def _exact_sign_statistics(state, mapping, ideal, beta, dims):
-    """Joint sign probabilities and corrected fidelities via projectors.
+def _closed_form_sign_statistics(state, mapping, ideal, beta):
+    """Joint sign probabilities and corrected fidelities, exactly.
 
+    With terms c_i |t_i, a_i, b_i> and W_ji the product of the half-line
+    overlaps <t_j|Theta(+-X)|t_i> <a_j|Theta(+-X)|a_i> for a sign pair,
+    the pair's probability is p = sum_ij conj(c_j) c_i W_ji <b_j|b_i>.
     The receiver's conditional state is a mixture over quadrature
-    readings; its fidelity is evaluated without materializing a density
-    matrix by contracting the receiver index against the corrected ideal
-    vector first.
+    readings; its corrected fidelity against the ideal phi is
+    sum_ij conj(c_j g_j) c_i g_i W_ji / p with g_i = <phi|U|b_i>.
     """
-    amps = [max(abs(t.amps[m]) for t in state.terms) for m in range(3)]
-    if dims is None:
-        per_mode = tuple(fock.truncation_rule(a) for a in amps)
-    elif isinstance(dims, int):
-        per_mode = (dims,) * 3
-    else:
-        per_mode = tuple(dims)
-    psi = fock.to_fock(state, per_mode)
-    ideal_vec = fock.to_fock(ideal, per_mode[2]).data
-    projs = {m: {s: np.asarray(fock.half_line_projector(per_mode[m], s))
-                 for s in (+1, -1)} for m in (0, 1)}
+    terms = state.terms
+    c = np.array([t.coeff for t in terms])
+    bobs = [CoherentSuperposition.coherent([t.amps[2]]) for t in terms]
+    bob_gram = gram_matrix(bobs)
+    half = {(m, s): np.array([[half_line_overlap(tj.amps[m], ti.amps[m], s)
+                               for ti in terms] for tj in terms])
+            for m in (0, 1) for s in (+1, -1)}
     probs, fids = {}, {}
     for pair in _SIGN_PAIRS:
-        proj_t = projs[0][pair[0]]
-        proj_a = projs[1][pair[1]]
-        v = fock.apply_single_mode(
-            fock.apply_single_mode(psi, proj_t, 0), proj_a, 1)
-        p = float(v.norm() ** 2)
+        w = half[0, pair[0]] * half[1, pair[1]]
+        p = float(np.vdot(c, (w * bob_gram) @ c).real)
+        g = np.array([overlap(ideal, apply_correction(b, mapping[pair], beta))
+                      for b in bobs])
+        f = float(np.vdot(c * g, w @ (c * g)).real)
         probs[pair] = p
-        u_c = fock_correction(per_mode[2], mapping[pair], beta)
-        phi = u_c.conj().T @ ideal_vec
-        u = np.tensordot(psi.data, phi.conjugate(), axes=([2], [0]))
-        fnum = float(np.vdot(u, proj_t @ u @ proj_a.T).real)
-        fids[pair] = fnum / p if p > 0 else 0.0
+        fids[pair] = f / p if p > 0 else 0.0
     return probs, fids
 
 

@@ -8,8 +8,6 @@ carries its seed in-band.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .bell import LABELS, BellLabel, DisplacementQuantum, eigen_residual
@@ -22,7 +20,6 @@ __all__ = [
     "run_to_json_doc",
     "rows_to_csv",
     "loglog_slope",
-    "derive_seed",
     "sweep_eigen_rows",
     "sweep_fidelity_rows",
     "EIGEN_SWEEP_COLUMNS",
@@ -34,11 +31,11 @@ RESULT_COLUMNS = ("alpha", "beta", "gamma", "c_a_re", "c_a_im", "c_b_re",
                   "avg_fidelity", "inconclusive_rate", "seed")
 
 EIGEN_SWEEP_COLUMNS = ("alpha", "beta", "operator", "label", "n", "m",
-                       "residual", "slope", "seed")
+                       "residual", "slope")
 
 FIDELITY_SWEEP_COLUMNS = ("alpha", "beta", "gamma", "c_a_re", "c_a_im",
                           "c_b_re", "c_b_im", "path", "avg_fidelity",
-                          "one_minus_avg_fidelity", "slope", "seed")
+                          "one_minus_avg_fidelity", "slope")
 
 
 def _fmt(value) -> str:
@@ -125,15 +122,8 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Stable per-grid-point seed; identical for serial and parallel runs."""
-    digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def sweep_eigen_rows(amplitudes, operator: str = "PbDa",
-                     label=None, n: int = 0, m: int = 0,
-                     seed=None) -> list[dict]:
+                     label=None, n: int = 0, m: int = 0) -> list[dict]:
     """Eigen-residual of one combined operator over an amplitude grid.
 
     alpha = beta at each grid point; a fitted log-log slope column is
@@ -146,13 +136,13 @@ def sweep_eigen_rows(amplitudes, operator: str = "PbDa",
     return [
         {"alpha": float(a), "beta": float(a), "operator": operator,
          "label": label.value, "n": n, "m": m, "residual": r,
-         "slope": slope, "seed": seed}
+         "slope": slope}
         for a, r in zip(amplitudes, residuals)
     ]
 
 
-def sweep_fidelity_rows(betas, c_a=1.0, c_b=0.0, path: str = "ideal",
-                        seed=None) -> list[dict]:
+def sweep_fidelity_rows(betas, c_a=1.0, c_b=0.0,
+                        path: str = "ideal") -> list[dict]:
     """Average teleportation fidelity over beta, with alpha = gamma = beta.
 
     The scaling probe keeps the payload on a single coherent component by
@@ -161,7 +151,7 @@ def sweep_fidelity_rows(betas, c_a=1.0, c_b=0.0, path: str = "ideal",
     """
     rows = []
     fids = []
-    for i, b in enumerate(betas):
+    for b in betas:
         b = float(b)
         target = TargetState(c_a, c_b, b)
         if path == "ideal":
@@ -175,7 +165,6 @@ def sweep_fidelity_rows(betas, c_a=1.0, c_b=0.0, path: str = "ideal",
             "c_b_re": run.c_b.real, "c_b_im": run.c_b.imag,
             "path": path, "avg_fidelity": run.average_fidelity,
             "one_minus_avg_fidelity": 1.0 - run.average_fidelity,
-            "seed": derive_seed(seed, i) if seed is not None else None,
         })
     deficits = [max(1.0 - f, 0.0) for f in fids]
     slope = (loglog_slope(betas, deficits)

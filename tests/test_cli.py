@@ -2,11 +2,12 @@ import json
 
 import pytest
 
+from catport import cli
 from catport.cli import (_BELL_SCHEMA, _SWEEP_SCHEMA, _TELEPORT_SCHEMA,
                          ConfigError, _take, build_parser, main,
                          serialize_config)
-from catport.reports import (derive_seed, loglog_slope, rows_to_csv,
-                             sweep_fidelity_rows)
+from catport.reports import (FIDELITY_SWEEP_COLUMNS, loglog_slope,
+                             rows_to_csv, sweep_fidelity_rows)
 
 
 def run_cli(*argv):
@@ -74,6 +75,23 @@ class TestExitCodes:
         cfg.write_text('{"alpa": 2.0}')
         assert run_cli("teleport", "--config", str(cfg)) == 2
         assert "alpa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"alpha": "3"}', "alpha"),
+        ('{"trials": true}', "trials"),
+        ('{"alpha": "inf"}', "alpha"),
+        ('{"alpha": Infinity}', "alpha"),
+    ], ids=["quoted-number", "bool-count", "quoted-inf", "json-infinity"])
+    def test_bad_value_is_config_error_before_running(self, tmp_path, capsys,
+                                                       monkeypatch, text, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("protocol ran on an invalid config")
+
+        monkeypatch.setattr(cli, "_run_protocol", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run_cli("teleport", "--config", str(cfg)) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
@@ -147,15 +165,6 @@ class TestTeleportCommand:
             sigma = (p * (1 - p) / n) ** 0.5
             assert abs(count / n - p) <= 3 * sigma + 1e-12
 
-    def test_dims_override_for_exact_collapse(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": 2.0, "beta": 2.0, "gamma": 2.0,
-                                   "collapse": "exact"}))
-        out = tmp_path / "hom.csv"
-        assert run_cli("homodyne", "--config", str(cfg), "--dims", "30",
-                       "--out", str(out)) == 0
-        assert len(out.read_text().splitlines()) == 6
-
 
 class TestSweepCommand:
     def test_fidelity_sweep_slope_column(self, tmp_path):
@@ -185,11 +194,22 @@ class TestSweepCommand:
         slope = float(lines[1].split(",")[scol])
         assert abs(slope + 2.0) < 0.1
 
-    def test_rows_carry_derived_seeds(self, tmp_path):
-        rows = sweep_fidelity_rows([2.0, 4.0], seed=9)
-        assert rows[0]["seed"] == derive_seed(9, 0)
-        assert rows[1]["seed"] == derive_seed(9, 1)
-        assert rows[0]["seed"] != rows[1]["seed"]
+    def test_sweep_rows_carry_no_seed(self):
+        rows = sweep_fidelity_rows([2.0, 4.0])
+        assert all("seed" not in row for row in rows)
+        assert "seed" not in FIDELITY_SWEEP_COLUMNS
+
+    def test_sweep_output_independent_of_seed(self, tmp_path):
+        # sweeps draw no random numbers, so --seed must not reach the file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "fidelity", "grid": [2, 4]}))
+        outs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"sweep{seed}.csv"
+            assert run_cli("sweep", "--config", str(cfg), "--seed", seed,
+                           "--out", str(out)) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestBellEigenCommands:
@@ -220,10 +240,6 @@ class TestReportHelpers:
         xs = [2.0, 4.0, 8.0]
         ys = [x ** -2 for x in xs]
         assert loglog_slope(xs, ys) == pytest.approx(-2.0, abs=1e-12)
-
-    def test_derive_seed_stable(self):
-        assert derive_seed(42, 7) == derive_seed(42, 7)
-        assert derive_seed(42, 7) != derive_seed(42, 8)
 
     def test_parser_subcommands(self):
         parser = build_parser()

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from catport import fock, protocol
 from catport.algebra import (CoherentSuperposition, DegenerateStateError,
-                             fidelity, norm, normalize, overlap)
+                             fidelity, half_line_overlap, norm, normalize,
+                             overlap)
 from catport.bell import LABELS, BellLabel, QuasiBellSet
 from catport.protocol import (CORRECTIONS, CorrectionLabel,
                               DegenerateBasisError, LowdinMeasurement,
@@ -12,9 +14,10 @@ from catport.protocol import (CORRECTIONS, CorrectionLabel,
                               classical_baseline, expand_initial,
                               initial_state, misclassification_probability,
                               run_teleport_homodyne, run_teleport_ideal,
-                              three_mode_state)
+                              correction_mu, three_mode_state)
 
-from oracles import gaussian_negative_mass, protocol_pipeline
+from oracles import (displacement_mat, gaussian_negative_mass,
+                     half_line_element_quad, parity_mat, protocol_pipeline)
 
 
 def coh(amp, coeff=1.0):
@@ -251,19 +254,86 @@ class TestHomodyne:
         }
 
     def test_exact_and_branch_collapse_agree_at_moderate_amplitude(self):
+        # the two collapses differ by the Gaussian sign error at amplitude
+        # 3, 1/2 erfc(3 sqrt 2) ~ 1e-9 per mode; measured gaps are 3.8e-9
+        # (probabilities) and 8.7e-10 (average fidelity)
         t = TargetState(1.0, 0.0, 3.0)
         exact = run_teleport_homodyne(t, 3.0, 3.0, collapse="exact")
         branch = run_teleport_homodyne(t, 3.0, 3.0, collapse="branch")
         assert exact.collapse == "exact" and branch.collapse == "branch"
-        assert abs(exact.average_fidelity - branch.average_fidelity) < 1e-6
+        assert abs(exact.average_fidelity - branch.average_fidelity) < 1e-8
         for be, bb in zip(exact.branches, branch.branches):
-            assert abs(be.outcome.probability - bb.outcome.probability) < 1e-6
+            assert abs(be.outcome.probability - bb.outcome.probability) < 1e-8
 
-    def test_auto_threshold(self):
-        t = TargetState(1.0, 0.0, 3.0)
-        assert run_teleport_homodyne(t, 3.0, 3.0).collapse == "exact"
-        t4 = TargetState(1.0, 0.0, 4.0)
-        assert run_teleport_homodyne(t4, 4.0, 4.0).collapse == "branch"
+    @pytest.mark.parametrize("u, v", [(0.0, 0.0), (0.3, -0.2), (1.0, 1.0),
+                                      (2.0, -1.5), (-3.0, 2.5), (5.0, 4.0)])
+    def test_half_line_overlap_vs_quadrature(self, u, v):
+        for sign in (+1, -1):
+            got = half_line_overlap(u, v, sign)
+            assert abs(got - half_line_element_quad(u, v, sign)) < 1e-13
+        assert (half_line_overlap(u, v, +1) + half_line_overlap(u, v, -1)
+                == pytest.approx(overlap(coh(u), coh(v)), abs=1e-15))
+
+    def test_half_line_overlap_refuses_complex_centre(self):
+        with pytest.raises(ValueError, match="not real"):
+            half_line_overlap(1.0, 1.0 + 0.5j, +1)
+
+    def test_exact_collapse_converges_to_fock_projector_route(self):
+        # Truncated half-line projectors converge to the continuum mass
+        # only as O(1/dim) (see fock.half_line_projector), so the Fock
+        # route may differ from the closed form by C/dim and the gap must
+        # halve when dim doubles.  Measured C: 1.2e-3 for probabilities,
+        # 0.08 for fidelities at amplitude 1; the bounds allow 1.5x that.
+        amp = 1.0
+        target = TargetState(0.6, 0.8j, amp)
+        run = run_teleport_homodyne(target, amp, amp, collapse="exact")
+        state = three_mode_state(target, amp, amp)
+        mu = correction_mu(amp)
+
+        def gaps(dim):
+            psi = fock.to_fock(state, dim)
+            ideal = fock.to_fock(target.ideal_bob(amp), dim).data
+            corr = {CorrectionLabel.IDENTITY: np.eye(dim),
+                    CorrectionLabel.PARITY: parity_mat(dim),
+                    CorrectionLabel.DISP: 1j * displacement_mat(dim, mu),
+                    CorrectionLabel.PARITY_DISP:
+                        1j * parity_mat(dim) @ displacement_mat(dim, mu)}
+            dp = df = 0.0
+            for br in run.branches:
+                # labels read "T+A-": the signs sit at positions 1 and 3
+                s_t, s_a = (1 if ch == "+" else -1
+                            for ch in br.outcome.label[1::2])
+                v = fock.apply_single_mode(
+                    fock.apply_single_mode(
+                        psi, fock.half_line_projector(dim, s_t), 0),
+                    fock.half_line_projector(dim, s_a), 1).data
+                p = float(np.vdot(v, v).real)
+                phi = corr[br.correction].conj().T @ ideal
+                u = v @ phi.conj()
+                f = float(np.vdot(u, u).real) / p
+                dp = max(dp, abs(p - br.outcome.probability))
+                df = max(df, abs(f - br.branch_fidelity))
+            return dp, df
+
+        (p24, f24), (p48, f48) = gaps(24), gaps(48)
+        assert p24 < 2e-3 / 24 and f24 < 0.12 / 24
+        assert p48 < 2e-3 / 48 and f48 < 0.12 / 48
+        assert 1.8 < p24 / p48 < 2.2 and 1.8 < f24 / f48 < 2.2
+
+    @pytest.mark.parametrize("amp", [0.5, 1.0, 3.0, 10.0, 40.0])
+    def test_exact_collapse_complete_without_fock(self, amp, monkeypatch):
+        # at amplitude 40 a truncated route would need dim 1850 per mode
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact collapse touched the Fock backend")
+
+        for name in fock.__all__:
+            monkeypatch.setattr(fock, name, refuse)
+        assert not hasattr(protocol, "fock")
+        run = run_teleport_homodyne(TargetState(0.6, 0.8j, amp), amp, amp,
+                                    collapse="exact")
+        assert abs(run.probabilities().sum() - 1.0) < 1e-12
+        assert all(0.0 <= b.branch_fidelity <= 1.0 + 1e-12
+                   for b in run.branches)
 
     def test_agrees_with_ideal_path_at_amplitude_four(self):
         t = TargetState(1.0, 0.0, 4.0)
