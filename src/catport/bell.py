@@ -43,7 +43,6 @@ import numpy as np
 
 from .algebra import (CoherentSuperposition, fidelity, gram_matrix, normalize,
                       overlap, tensor)
-from . import fock
 
 __all__ = [
     "BellLabel",
@@ -61,7 +60,6 @@ __all__ = [
     "measurement_bits",
     "label_from_bits",
     "gram_closed_form",
-    "fock_quasi_bell",
     "LABELS",
 ]
 
@@ -315,10 +313,3 @@ def label_from_bits(bits: tuple[int, int]) -> BellLabel:
     table = {measurement_bits(lab): lab for lab in LABELS}
     return table[tuple(bits)]
 
-
-def fock_quasi_bell(label: BellLabel, alpha: float, beta: float,
-                    dims=None) -> fock.FockVector:
-    """Truncated-Fock rendering of one quadruple member (oracle helper)."""
-    if dims is None:
-        dims = fock.truncation_rule(max(abs(alpha), abs(beta)))
-    return fock.to_fock(make_quasi_bell(label, alpha, beta), dims)

@@ -3,7 +3,8 @@
 Subcommands: validate | bell | eigen | teleport | sweep | homodyne.
 Experiment parameters come from a strict JSON config (--config); unknown
 keys are rejected so a typo can never silently change a sweep.  Run
-control lives on flags: --seed, --out, --format.  Exit codes:
+control lives on flags: --out, --format, and --seed on the two commands
+that draw random numbers (teleport, homodyne).  Exit codes:
 0 success, 1 a validation/check failure, 2 a config error.
 """
 
@@ -321,11 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def u64(text: str) -> int:
+        value = int(text)
+        if not 0 <= value < 2 ** 64:
+            raise argparse.ArgumentTypeError(f"{value} is not in [0, 2**64)")
+        return value
+
+    def common(p, seeded=False):
         p.add_argument("--config", metavar="PATH",
                        help="JSON experiment config (strict keys)")
-        p.add_argument("--seed", type=int, default=0, metavar="U64",
-                       help="seed for every randomized step (default 0)")
+        if seeded:
+            p.add_argument("--seed", type=u64, default=0, metavar="U64",
+                           help="seed for the sampled counts and the "
+                           "baseline (default 0)")
         p.add_argument("--out", metavar="PATH",
                        help="write results here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -344,11 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("teleport", help="run the protocol once")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_teleport)
 
     p = sub.add_parser("homodyne", help="teleport via the sign-readout path")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=lambda a: cmd_teleport(a, force_path="homodyne"))
 
     p = sub.add_parser("sweep", help="grid sweeps with fitted slopes")

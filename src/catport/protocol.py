@@ -29,6 +29,13 @@ sign pair selects the same four corrections.  Collapse is computed
 either per coherent branch (error bounded by the reported Gaussian
 sign-error 1/2 erfc(sqrt(2) amp)) or exactly, at every amplitude, from
 the closed-form half-line overlaps <u|Theta(+-X)|v> of coherent states.
+
+Both paths are payload-linear: outcome k leaves the receiver M_k c in
+the frame {|beta>, |-beta>}, with c = (c_a, c_b)/N the realized payload
+on {|gamma>, |-gamma>}.  Each call builds the 2x2 maps M_k once from the
+basis payloads |+-gamma>; weights and every correction's fidelity are
+2x2 forms in c, the baseline reuses the maps for all its payloads, and
+the exact collapse runs on c_a S+ + c_b S- (the basis payloads' states).
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (CoherentSuperposition, DegenerateStateError,
-                      fidelity, gram_matrix, half_line_overlap, norm,
-                      normalize, overlap, partial_overlap, tensor)
+                      gram_matrix, half_line_overlap, norm, normalize,
+                      overlap, partial_overlap, tensor)
 from .bell import (LABELS, BellLabel, QuasiBellSet,
                    generate_from_dynamics, make_quasi_bell,
                    measurement_bits)
@@ -216,14 +223,11 @@ class LowdinMeasurement:
         return [partial_overlap(v, state, ket_modes) for v in self.vectors]
 
 
-def _channel_phi_plus(alpha: float, beta: float) -> CoherentSuperposition:
-    return make_quasi_bell(BellLabel.PHI_PLUS, alpha, beta)
-
-
 def initial_state(target: TargetState, alpha: float,
                   beta: float) -> CoherentSuperposition:
     """Payload (x) channel on modes (T, a, b); exactly normalized."""
-    return tensor(target.realized(), _channel_phi_plus(alpha, beta))
+    return tensor(target.realized(),
+                  make_quasi_bell(BellLabel.PHI_PLUS, alpha, beta))
 
 
 def _frame_coords(s: CoherentSuperposition, beta: float) -> np.ndarray:
@@ -286,6 +290,61 @@ def expand_initial(target: TargetState, alpha: float, beta: float):
 
 
 # ---------------------------------------------------------------------------
+# Payload-linear branch maps
+# ---------------------------------------------------------------------------
+
+def _maps_from_probes(components, beta: float) -> np.ndarray:
+    """2x2 maps from the basis payloads' receiver components.
+
+    ``components[j][k]`` is outcome k's receiver state for basis payload
+    j, so ``maps[k][:, j]`` holds its coordinates in {|beta>, |-beta>}.
+    """
+    return np.array([[_frame_coords(s, beta) for s in row]
+                     for row in components]).transpose(1, 2, 0)
+
+
+def _ideal_maps(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Bell outcome -> 2x2 map, from the orthogonalized measurement."""
+    meas = LowdinMeasurement.from_set(QuasiBellSet.build(alpha, gamma))
+    channel = make_quasi_bell(BellLabel.PHI_PLUS, alpha, beta)
+    return _maps_from_probes(
+        [meas.collapse(tensor(CoherentSuperposition.coherent([x]), channel),
+                       (1, 0)) for x in (gamma, -gamma)], beta)
+
+
+def _correction_grams(beta: float) -> np.ndarray:
+    """C[c, i, j] = <e_i|U_c|e_j> over the frame e = (|beta>, |-beta>).
+
+    U_c runs over CORRECTIONS, so C[0] is the frame Gram.
+    """
+    frame = (CoherentSuperposition.coherent([beta]),
+             CoherentSuperposition.coherent([-beta]))
+    moved = [[apply_correction(e, c, beta) for e in frame]
+             for c in CORRECTIONS]
+    return np.array([[[overlap(ei, mj) for mj in m] for ei in frame]
+                     for m in moved])
+
+
+def _branch_statistics(maps: np.ndarray, target: TargetState,
+                       grams: np.ndarray):
+    """Receiver components b_k, branch weights and fidelities (k, correction).
+
+    With chat the realized payload's coefficients on {|gamma>, |-gamma>},
+    b_k = maps[k] chat weighs b_k^H G b_k (G = grams[0]) and correction j
+    leaves the fidelity |chat^H C_j b_k|^2 / (chat^H G chat  b_k^H G b_k):
+    the ideal receiver state's frame coordinates are proportional to chat.
+    """
+    chat = _frame_coords(target.realized(), target.gamma)
+    comps = maps @ chat
+    weights = np.einsum("ki,ij,kj->k", comps.conj(), grams[0], comps).real
+    amps = np.einsum("i,cij,kj->kc", chat.conj(), grams, comps)
+    scale = np.vdot(chat, grams[0] @ chat).real * weights[:, None]
+    fids = np.divide(np.abs(amps) ** 2, scale, out=np.zeros(amps.shape),
+                     where=scale > 0)
+    return comps, weights, fids
+
+
+# ---------------------------------------------------------------------------
 # Protocol records
 # ---------------------------------------------------------------------------
 
@@ -340,12 +399,40 @@ class ProtocolRun:
         return c / c.sum()
 
 
-def _sample_counts(probabilities: np.ndarray, trials: int,
-                   seed: int | None) -> tuple:
-    p = np.asarray(probabilities, dtype=float)
-    p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    return tuple(int(c) for c in rng.multinomial(trials, p))
+def _check_mode(mode: str, trials: int):
+    if mode not in ("enumerate", "sample"):
+        raise ValueError("mode must be 'enumerate' or 'sample'")
+    if mode == "sample" and trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
+def _build_run(path: str, target: TargetState, alpha: float, beta: float,
+               outcomes, corrections, comps, probs, fids, mode: str,
+               seed: int | None, trials: int, **extra) -> ProtocolRun:
+    """A run from per-branch (label, eigen_bits) outcomes, corrections,
+    receiver frame coordinates, probabilities and fidelities."""
+    probs, fids = [float(p) for p in probs], [float(f) for f in fids]
+    branches = []
+    for (label, bits), corr, v, p, f in zip(outcomes, corrections, comps,
+                                            probs, fids):
+        raw = CoherentSuperposition(1, ((v[0], (beta,)), (v[1], (-beta,))))
+        nonzero = norm(raw) > 0
+        bob = normalize(raw) if nonzero else raw
+        after = apply_correction(bob, corr, beta) if nonzero else bob
+        outcome = MeasurementOutcome(label, bits, p, bob)
+        branches.append(ProtocolResult(outcome, corr, after, f))
+    counts = None
+    if mode == "sample":
+        p = np.array(probs)
+        rng = np.random.default_rng(seed)
+        counts = tuple(int(c) for c in rng.multinomial(trials, p / p.sum()))
+    return ProtocolRun(
+        path=path, alpha=alpha, beta=beta, gamma=target.gamma,
+        c_a=target.c_a, c_b=target.c_b, branches=tuple(branches),
+        inconclusive_rate=max(0.0, 1.0 - sum(probs)),
+        average_fidelity=sum(p * f for p, f in zip(probs, fids)),
+        mode=mode, seed=seed, trials=trials if mode == "sample" else None,
+        counts=counts, **extra)
 
 
 def run_teleport_ideal(target: TargetState, alpha: float, beta: float,
@@ -359,38 +446,15 @@ def run_teleport_ideal(target: TargetState, alpha: float, beta: float,
     probability-weighted average.  sample: identical per-branch data plus
     multinomial counts drawn with the seeded generator.
     """
-    if mode not in ("enumerate", "sample"):
-        raise ValueError("mode must be 'enumerate' or 'sample'")
-    qset = QuasiBellSet.build(alpha, target.gamma)
-    meas = LowdinMeasurement.from_set(qset)
-    total = initial_state(target, alpha, beta)
-    collapsed = meas.collapse(total, (1, 0))
-    ideal = target.ideal_bob(beta)
-    branches = []
-    p_sum = 0.0
-    avg = 0.0
-    for lab, raw in zip(LABELS, collapsed):
-        p = norm(raw) ** 2
-        p_sum += p
-        bob = normalize(raw) if p > 0 else raw
-        corr = correction_for_label(lab)
-        after = apply_correction(bob, corr, beta) if p > 0 else bob
-        f = fidelity(after, ideal) if p > 0 else 0.0
-        avg += p * f
-        outcome = MeasurementOutcome(lab.value, measurement_bits(lab), p, bob)
-        branches.append(ProtocolResult(outcome, corr, after, f))
-    counts = None
-    if mode == "sample":
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        counts = _sample_counts(np.array([b.outcome.probability
-                                          for b in branches]), trials, seed)
-    return ProtocolRun(
-        path="ideal", alpha=alpha, beta=beta, gamma=target.gamma,
-        c_a=target.c_a, c_b=target.c_b, branches=tuple(branches),
-        inconclusive_rate=max(0.0, 1.0 - p_sum), average_fidelity=avg,
-        mode=mode, seed=seed, trials=trials if mode == "sample" else None,
-        counts=counts)
+    _check_mode(mode, trials)
+    comps, weights, fids = _branch_statistics(
+        _ideal_maps(alpha, beta, target.gamma), target,
+        _correction_grams(beta))
+    # CORRECTIONS lists each Bell outcome's correction in LABELS order
+    return _build_run(
+        "ideal", target, alpha, beta,
+        [(lab.value, measurement_bits(lab)) for lab in LABELS], CORRECTIONS,
+        comps, weights, fids.diagonal(), mode, seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +504,11 @@ def three_mode_state(target: TargetState, alpha: float, beta: float,
             .cross_kerr_pi(0, 1))
 
 
-def _group_by_signs(state: CoherentSuperposition) -> dict:
-    """Split terms by the sign of Re(amp) on modes T and a."""
+def _sign_components(state: CoherentSuperposition) -> list:
+    """Receiver component of each sign group, in _SIGN_PAIRS order.
+
+    Terms are grouped by the sign of Re(amp) on modes T and a.
+    """
     groups = {pair: [] for pair in _SIGN_PAIRS}
     for t in state.terms:
         key = []
@@ -452,33 +519,24 @@ def _group_by_signs(state: CoherentSuperposition) -> dict:
                     "amplitude on a measured mode has no definite sign; "
                     "choose a tabulated frequency row")
             key.append(+1 if re > 0 else -1)
-        groups[tuple(key)].append(t)
-    return groups
-
-
-def _bob_component(terms) -> CoherentSuperposition:
-    return CoherentSuperposition(
-        1, tuple((t.coeff, (t.amps[2],)) for t in terms))
+        groups[tuple(key)].append((t.coeff, (t.amps[2],)))
+    return [CoherentSuperposition(1, tuple(groups[pair]))
+            for pair in _SIGN_PAIRS]
 
 
 def _derive_sign_corrections(alpha: float, beta: float, gamma: float,
-                             freqs) -> dict:
-    """Sign pair -> correction, derived from two basis-probe expansions.
+                             freqs):
+    """Sign pair -> correction, the 2x2 maps and the basis probes' states.
 
-    The receiver component of each sign group is linear in (c_a, c_b);
-    probing with (1,0) and (0,1) yields its 2x2 matrix in the frame
-    {|beta>, |-beta>}, which must be proportional to exactly one of the
-    four undoable patterns.
+    Probing with |gamma> and |-gamma> yields each sign group's 2x2 map in
+    the frame {|beta>, |-beta>} (returned in _SIGN_PAIRS order), which
+    must be proportional to exactly one of the four undoable patterns.
     """
-    probes = [TargetState(1.0, 0.0, gamma), TargetState(0.0, 1.0, gamma)]
-    columns = {pair: np.zeros((2, 2), dtype=complex) for pair in _SIGN_PAIRS}
-    for col, probe in enumerate(probes):
-        grouped = _group_by_signs(three_mode_state(probe, alpha, beta, freqs))
-        for pair in _SIGN_PAIRS:
-            comp = _bob_component(grouped[pair])
-            columns[pair][:, col] = _frame_coords(comp, beta)
+    basis = (TargetState(1.0, 0.0, gamma), TargetState(0.0, 1.0, gamma))
+    probes = tuple(three_mode_state(t, alpha, beta, freqs) for t in basis)
+    maps = _maps_from_probes(map(_sign_components, probes), beta)
     mapping = {}
-    for pair, mat in columns.items():
+    for pair, mat in zip(_SIGN_PAIRS, maps):
         best = None
         for corr, pat in _COMPONENT_PATTERNS.items():
             lam = np.vdot(pat, mat) / np.vdot(pat, pat)
@@ -491,7 +549,7 @@ def _derive_sign_corrections(alpha: float, beta: float, gamma: float,
             raise AssertionError(
                 f"sign group {pair} component matches no correction: {mat}")
         mapping[pair] = best
-    return mapping
+    return mapping, maps, probes
 
 
 def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
@@ -506,60 +564,30 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
     probabilities and fidelities from closed-form half-line overlaps, at
     every amplitude.
     """
-    if mode not in ("enumerate", "sample"):
-        raise ValueError("mode must be 'enumerate' or 'sample'")
+    _check_mode(mode, trials)
     if collapse not in ("exact", "branch"):
         raise ValueError("collapse must be exact or branch")
-    state = three_mode_state(target, alpha, beta, freqs)
-    mapping = _derive_sign_corrections(alpha, beta, target.gamma, freqs)
-    grouped = _group_by_signs(state)
-    ideal = target.ideal_bob(beta)
-    miscls = {"T": misclassification_probability(target.gamma),
-              "A": misclassification_probability(alpha)}
-
-    raw_components = {pair: _bob_component(grouped[pair])
-                      for pair in _SIGN_PAIRS}
+    mapping, maps, probes = _derive_sign_corrections(alpha, beta,
+                                                     target.gamma, freqs)
+    comps, weights, fids = _branch_statistics(maps, target,
+                                              _correction_grams(beta))
+    corrections = [mapping[pair] for pair in _SIGN_PAIRS]
     if collapse == "branch":
-        weights = {pair: norm(c) ** 2 for pair, c in raw_components.items()}
-        total_w = sum(weights.values())
-        probs = {pair: w / total_w for pair, w in weights.items()}
-        fids = {}
-        for pair in _SIGN_PAIRS:
-            comp = raw_components[pair]
-            if probs[pair] > 0:
-                after = apply_correction(normalize(comp), mapping[pair], beta)
-                fids[pair] = fidelity(after, ideal)
-            else:
-                fids[pair] = 0.0
+        probs = weights / weights.sum()
+        fids = [fids[k, CORRECTIONS.index(c)]
+                for k, c in enumerate(corrections)]
     else:
-        probs, fids = _closed_form_sign_statistics(state, mapping, ideal, beta)
-
-    branches = []
-    avg = 0.0
-    p_sum = 0.0
-    for pair in _SIGN_PAIRS:
-        p = probs[pair]
-        p_sum += p
-        comp = raw_components[pair]
-        bob = normalize(comp) if norm(comp) > 0 else comp
-        corr = mapping[pair]
-        after = apply_correction(bob, corr, beta) if norm(comp) > 0 else bob
-        outcome = MeasurementOutcome(_sign_pair_label(pair), None, p, bob)
-        branches.append(ProtocolResult(outcome, corr, after, fids[pair]))
-        avg += p * fids[pair]
-    counts = None
-    if mode == "sample":
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        counts = _sample_counts(np.array([probs[p] for p in _SIGN_PAIRS]),
-                                trials, seed)
-    return ProtocolRun(
-        path="homodyne", alpha=alpha, beta=beta, gamma=target.gamma,
-        c_a=target.c_a, c_b=target.c_b, branches=tuple(branches),
-        inconclusive_rate=max(0.0, 1.0 - p_sum), average_fidelity=avg,
-        mode=mode, seed=seed, trials=trials if mode == "sample" else None,
-        counts=counts, misclassification=miscls, collapse=collapse,
-        freqs=tuple(tuple(r) for r in freqs))
+        chat = _frame_coords(target.realized(), target.gamma)
+        state = probes[0].scaled(chat[0]) + probes[1].scaled(chat[1])
+        probs, fids = _closed_form_sign_statistics(
+            state, mapping, target.ideal_bob(beta), beta)
+    return _build_run(
+        "homodyne", target, alpha, beta,
+        [(_sign_pair_label(pair), None) for pair in _SIGN_PAIRS],
+        corrections, comps, probs, fids, mode, seed, trials,
+        misclassification={"T": misclassification_probability(target.gamma),
+                           "A": misclassification_probability(alpha)},
+        collapse=collapse, freqs=tuple(tuple(r) for r in freqs))
 
 
 def _closed_form_sign_statistics(state, mapping, ideal, beta):
@@ -579,16 +607,16 @@ def _closed_form_sign_statistics(state, mapping, ideal, beta):
     half = {(m, s): np.array([[half_line_overlap(tj.amps[m], ti.amps[m], s)
                                for ti in terms] for tj in terms])
             for m in (0, 1) for s in (+1, -1)}
-    probs, fids = {}, {}
+    probs, fids = [], []
     for pair in _SIGN_PAIRS:
         w = half[0, pair[0]] * half[1, pair[1]]
         p = float(np.vdot(c, (w * bob_gram) @ c).real)
         g = np.array([overlap(ideal, apply_correction(b, mapping[pair], beta))
                       for b in bobs])
         f = float(np.vdot(c * g, w @ (c * g)).real)
-        probs[pair] = p
-        fids[pair] = f / p if p > 0 else 0.0
-    return probs, fids
+        probs.append(p)
+        fids.append(f / p if p > 0 else 0.0)
+    return probs, fids  # both in _SIGN_PAIRS order
 
 
 # ---------------------------------------------------------------------------
@@ -613,40 +641,29 @@ def classical_baseline(target: TargetState, alpha: float, beta: float,
     applies a uniformly random correction, and two numbers come back:
     the rate at which the guess matched the branch's correct correction
     (-> 1/4) and the mean resulting fidelity.  Deterministic for a fixed
-    seed; optionally averages over uniformly drawn payloads.
+    seed; optionally averages over uniformly drawn payloads.  For a
+    fixed payload the trials are one multinomial draw over the 16
+    (branch, guess) cells, so memory does not grow with ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
+    maps = _ideal_maps(alpha, beta, target.gamma)
+    grams = _correction_grams(beta)
 
-    def branch_tables(t: TargetState):
-        run = run_teleport_ideal(t, alpha, beta)
-        p = run.probabilities()
-        ideal = t.ideal_bob(beta)
-        fmat = np.zeros((4, 4))
-        for k, br in enumerate(run.branches):
-            for c, corr in enumerate(CORRECTIONS):
-                after = apply_correction(br.outcome.collapsed_bob, corr, beta)
-                fmat[k, c] = fidelity(after, ideal)
-        correct = np.array([CORRECTIONS.index(br.correction)
-                            for br in run.branches])
-        return p / p.sum(), fmat, correct
+    def draw(t: TargetState, n: int) -> tuple[int, float]:
+        _, p, fmat = _branch_statistics(maps, t, grams)
+        cells = rng.multinomial(n, np.repeat(p / (4.0 * p.sum()), 4))
+        cells = cells.reshape(fmat.shape)
+        # CORRECTIONS is in LABELS order: right guesses sit on the diagonal
+        return int(np.trace(cells)), float(np.sum(cells * fmat))
 
-    hits = 0
-    fid_sum = 0.0
     if sample_targets:
+        hits, fid_sum = 0, 0.0
         for _ in range(trials):
-            ca, cb = _uniform_logical(rng)
-            p, fmat, correct = branch_tables(
-                TargetState(ca, cb, target.gamma))
-            k = int(rng.choice(4, p=p))
-            c = int(rng.integers(0, 4))
-            hits += int(c == correct[k])
-            fid_sum += fmat[k, c]
+            h, f = draw(TargetState(*_uniform_logical(rng), target.gamma), 1)
+            hits += h
+            fid_sum += f
     else:
-        p, fmat, correct = branch_tables(target)
-        ks = rng.choice(4, size=trials, p=p)
-        cs = rng.integers(0, 4, size=trials)
-        hits = int(np.sum(cs == correct[ks]))
-        fid_sum = float(np.sum(fmat[ks, cs]))
+        hits, fid_sum = draw(target, trials)
     return hits / trials, fid_sum / trials

@@ -93,6 +93,24 @@ class TestExitCodes:
         assert run_cli("teleport", "--config", str(cfg)) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, seed", [
+        ("bell", "1"), ("eigen", "1"), ("sweep", "1"), ("teleport", "-1"),
+    ])
+    def test_seed_is_a_usage_error_before_running(self, tmp_path, capsys,
+                                                   monkeypatch, command, seed):
+        # only teleport and homodyne draw random numbers, and their seed
+        # must lie in [0, 2**64): anything else exits 2 while parsing
+        def refuse(*args, **kwargs):
+            raise AssertionError("protocol ran despite a bad --seed")
+
+        monkeypatch.setattr(cli, "_run_protocol", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mode": "sample", "trials": 10}')
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", str(cfg), "--seed", seed)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         cfg.write_text('{"kind": "fidelity", "grid": []}')
@@ -198,18 +216,6 @@ class TestSweepCommand:
         rows = sweep_fidelity_rows([2.0, 4.0])
         assert all("seed" not in row for row in rows)
         assert "seed" not in FIDELITY_SWEEP_COLUMNS
-
-    def test_sweep_output_independent_of_seed(self, tmp_path):
-        # sweeps draw no random numbers, so --seed must not reach the file
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "fidelity", "grid": [2, 4]}))
-        outs = []
-        for seed in ("1", "2"):
-            out = tmp_path / f"sweep{seed}.csv"
-            assert run_cli("sweep", "--config", str(cfg), "--seed", seed,
-                           "--out", str(out)) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
 
 
 class TestBellEigenCommands:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catport import fock, protocol
+from catport import bell, fock, protocol
 from catport.algebra import (CoherentSuperposition, DegenerateStateError,
                              fidelity, half_line_overlap, norm, normalize,
                              overlap)
@@ -11,8 +11,9 @@ from catport.bell import LABELS, BellLabel, QuasiBellSet
 from catport.protocol import (CORRECTIONS, CorrectionLabel,
                               DegenerateBasisError, LowdinMeasurement,
                               TargetState, apply_correction,
-                              classical_baseline, expand_initial,
-                              initial_state, misclassification_probability,
+                              classical_baseline, correction_for_label,
+                              expand_initial, initial_state,
+                              misclassification_probability,
                               run_teleport_homodyne, run_teleport_ideal,
                               correction_mu, three_mode_state)
 
@@ -329,6 +330,7 @@ class TestHomodyne:
         for name in fock.__all__:
             monkeypatch.setattr(fock, name, refuse)
         assert not hasattr(protocol, "fock")
+        assert not hasattr(bell, "fock")
         run = run_teleport_homodyne(TargetState(0.6, 0.8j, amp), amp, amp,
                                     collapse="exact")
         assert abs(run.probabilities().sum() - 1.0) < 1e-12
@@ -395,8 +397,116 @@ class TestClassicalBaseline:
         guess, fid = classical_baseline(TargetState(1.0, 0.0, 2.0), 2.0, 2.0,
                                         trials=200, seed=23,
                                         sample_targets=True)
-        assert 0.0 <= guess <= 1.0
+        assert abs(guess - 0.25) <= 5 * math.sqrt(0.25 * 0.75 / 200)
         assert 0.0 <= fid <= 1.0
+
+    def test_memory_does_not_grow_with_trials(self):
+        # 10**12 per-trial draws would need terabytes; one multinomial
+        # over the 16 (branch, guess) cells needs none of that
+        guess, fid = classical_baseline(TargetState(0.6, 0.8, 3.0), 3.0, 3.0,
+                                        trials=10 ** 12, seed=41)
+        assert abs(guess - 0.25) < 1e-5
+        assert 0.0 <= fid <= 1.0
+
+    def test_sampled_targets_build_one_measurement(self, monkeypatch):
+        calls = []
+        real = LowdinMeasurement.from_set
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(LowdinMeasurement, "from_set", counting)
+        classical_baseline(TargetState(1.0, 0.0, 2.0), 2.0, 2.0, trials=50,
+                           seed=3, sample_targets=True)
+        assert len(calls) == 1
+
+
+def _random_cases(seed, n):
+    """n random (target, alpha, beta), amplitudes uniform in [0.8, 4]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        ca, cb = (complex(*rng.normal(size=2)) for _ in range(2))
+        alpha, beta, gamma = (float(a) for a in rng.uniform(0.8, 4.0, 3))
+        yield TargetState(ca, cb, gamma), alpha, beta
+
+
+_ROWS = ((2, 2), (2, 1), (1, 2), (1, 1))
+_ROW_PAIRS = [(r1, r2) for r1 in _ROWS for r2 in _ROWS]
+
+
+def _sign_pair(label):
+    # labels read "T+A-": the signs sit at positions 1 and 3
+    return tuple(1 if ch == "+" else -1 for ch in label[1::2])
+
+
+class TestBranchMapsAgainstFullState:
+    """The 2x2 branch maps against the full three-mode reference route."""
+
+    def test_ideal_path(self):
+        for target, alpha, beta in _random_cases(101, 24):
+            run = run_teleport_ideal(target, alpha, beta)
+            meas = LowdinMeasurement.from_set(
+                QuasiBellSet.build(alpha, target.gamma))
+            collapsed = meas.collapse(initial_state(target, alpha, beta),
+                                      (1, 0))
+            ideal = target.ideal_bob(beta)
+            for br, lab, raw in zip(run.branches, LABELS, collapsed):
+                after = apply_correction(normalize(raw),
+                                         correction_for_label(lab), beta)
+                assert abs(br.outcome.probability - norm(raw) ** 2) < 1e-12
+                assert abs(br.branch_fidelity - fidelity(after, ideal)) < 1e-12
+                assert fidelity(br.outcome.collapsed_bob, raw) > 1 - 1e-12
+
+    def test_branch_collapse_over_all_frequency_rows(self):
+        for i, (target, alpha, beta) in enumerate(_random_cases(202, 32)):
+            freqs = _ROW_PAIRS[i % len(_ROW_PAIRS)]
+            run = run_teleport_homodyne(target, alpha, beta, freqs=freqs,
+                                        collapse="branch")
+            groups = {}
+            for t in three_mode_state(target, alpha, beta, freqs).terms:
+                pair = tuple(1 if a.real > 0 else -1 for a in t.amps[:2])
+                groups.setdefault(pair, []).append((t.coeff, (t.amps[2],)))
+            comps = {pair: CoherentSuperposition(1, tuple(terms))
+                     for pair, terms in groups.items()}
+            total = sum(norm(c) ** 2 for c in comps.values())
+            ideal = target.ideal_bob(beta)
+            for br in run.branches:
+                comp = comps[_sign_pair(br.outcome.label)]
+                after = apply_correction(normalize(comp), br.correction, beta)
+                assert abs(br.outcome.probability
+                           - norm(comp) ** 2 / total) < 1e-12
+                assert abs(br.branch_fidelity - fidelity(after, ideal)) < 1e-12
+                assert fidelity(br.outcome.collapsed_bob, comp) > 1 - 1e-12
+
+    def test_exact_collapse(self):
+        for i, (target, alpha, beta) in enumerate(_random_cases(303, 20)):
+            freqs = _ROW_PAIRS[i % len(_ROW_PAIRS)]
+            run = run_teleport_homodyne(target, alpha, beta, freqs=freqs,
+                                        collapse="exact")
+            mapping = {_sign_pair(br.outcome.label): br.correction
+                       for br in run.branches}
+            probs, fids = protocol._closed_form_sign_statistics(
+                three_mode_state(target, alpha, beta, freqs), mapping,
+                target.ideal_bob(beta), beta)
+            got_f = [br.branch_fidelity for br in run.branches]
+            assert np.max(np.abs(run.probabilities() - probs)) < 1e-12
+            assert np.max(np.abs(np.array(got_f) - fids)) < 1e-12
+
+    def test_homodyne_builds_two_three_mode_states(self, monkeypatch):
+        calls = []
+        real = protocol.three_mode_state
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "three_mode_state", counting)
+        for collapse in ("exact", "branch"):
+            calls.clear()
+            run_teleport_homodyne(TargetState(0.6, 0.8j, 2.0), 2.0, 2.0,
+                                  collapse=collapse)
+            assert len(calls) == 2
 
 
 class TestInitialState:
