@@ -9,8 +9,12 @@ The four two-mode states built from {|+-alpha>, |+-beta>},
 play the role of a Bell basis for cat qubits.  They are produced by the
 pi-point cross-Kerr interaction from a product of two coherent states,
 with the free-evolution frequencies selecting which of the four comes
-out.  For real alpha, beta the two-term combinations above are exactly
-normalized; their Gram matrix has the closed-form off-diagonals
+out.  On the product frame {|+-alpha>} (x) {|+-beta>} every coefficient
+is +-1/2; that sign table, FRAME_COEFFS, is the quadruple's one
+definition: make_quasi_bell builds the states from it, and the protocol
+contracts it with 2x2 frame Gram matrices instead.  For real alpha,
+beta the two-term combinations above are exactly normalized; their Gram
+matrix has the closed-form off-diagonals
 
     <Phi+|Phi-> = e^{-2 beta^2}        <Psi+|Psi-> = -e^{-2 beta^2}
     <Phi+|Psi+> = e^{-2 alpha^2}       <Phi-|Psi-> = -e^{-2 alpha^2}
@@ -42,13 +46,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .algebra import (CoherentSuperposition, fidelity, gram_matrix, normalize,
-                      overlap, tensor)
+                      overlap)
 
 __all__ = [
     "BellLabel",
     "UnsupportedConfigurationError",
     "make_cat",
     "make_quasi_bell",
+    "FRAME_COEFFS",
     "QuasiBellSet",
     "DisplacementQuantum",
     "FREQUENCY_TABLE",
@@ -58,7 +63,6 @@ __all__ = [
     "predicted_eigenvalue",
     "eigen_residual",
     "measurement_bits",
-    "label_from_bits",
     "gram_closed_form",
     "LABELS",
 ]
@@ -97,27 +101,31 @@ def make_cat(lam: complex, sign: int) -> CoherentSuperposition:
             + CoherentSuperposition.coherent([-lam], 0.5 * sign))
 
 
+#: each state's coefficients on the frame {|+-alpha>} (x) {|+-beta>}, in
+#: LABELS order: FRAME_COEFFS[k, i, j] weighs |s_i alpha>|s_j beta> with
+#: (s_0, s_1) = (+1, -1); the cats' 1/2 is folded in
+FRAME_COEFFS = 0.5 * np.array([
+    [[1, 1], [1, -1]],      # Phi+ = |alpha>|beta_+> + |-alpha>|beta_->
+    [[1, 1], [-1, 1]],      # Phi- = |alpha>|beta_+> - |-alpha>|beta_->
+    [[1, -1], [1, 1]],      # Psi+ = |alpha>|beta_-> + |-alpha>|beta_+>
+    [[1, -1], [-1, -1]],    # Psi- = |alpha>|beta_-> - |-alpha>|beta_+>
+])
+FRAME_COEFFS.setflags(write=False)
+
+
 def make_quasi_bell(label: BellLabel, alpha: float, beta: float,
                     normalized: bool = True) -> CoherentSuperposition:
     """Build one of the four entangled states on modes (a, b).
 
-    Mode 0 carries the coherent pair |+-alpha>, mode 1 the beta cats.  The
-    raw two-term combination is returned normalized (a no-op for real
-    amplitudes, where its norm is exactly 1).
+    Mode 0 carries the coherent pair |+-alpha>, mode 1 the beta cats; the
+    terms are the label's row of FRAME_COEFFS.  The raw combination is
+    returned normalized (a no-op for real amplitudes, where its norm is
+    exactly 1).
     """
-    label = BellLabel(label)
-    plus = make_cat(beta, +1)
-    minus = make_cat(beta, -1)
-    ca = CoherentSuperposition.coherent([alpha])
-    cma = CoherentSuperposition.coherent([-alpha])
-    if label is BellLabel.PHI_PLUS:
-        s = tensor(ca, plus) + tensor(cma, minus)
-    elif label is BellLabel.PHI_MINUS:
-        s = tensor(ca, plus) - tensor(cma, minus)
-    elif label is BellLabel.PSI_PLUS:
-        s = tensor(ca, minus) + tensor(cma, plus)
-    else:
-        s = tensor(ca, minus) - tensor(cma, plus)
+    coeffs = FRAME_COEFFS[LABELS.index(BellLabel(label))]
+    s = CoherentSuperposition(2, tuple(
+        (coeffs[i, j], (sa * alpha, sb * beta))
+        for i, sa in enumerate((1, -1)) for j, sb in enumerate((1, -1))))
     return normalize(s) if normalized else s
 
 
@@ -306,10 +314,3 @@ def measurement_bits(label: BellLabel) -> tuple[int, int]:
     bit0 = 0 if predicted_eigenvalue(label, "PbDa", q0).imag > 0 else 1
     bit1 = 0 if predicted_eigenvalue(label, "PaDb", q0).imag > 0 else 1
     return bit0, bit1
-
-
-def label_from_bits(bits: tuple[int, int]) -> BellLabel:
-    """Inverse of measurement_bits."""
-    table = {measurement_bits(lab): lab for lab in LABELS}
-    return table[tuple(bits)]
-

@@ -32,10 +32,14 @@ the closed-form half-line overlaps <u|Theta(+-X)|v> of coherent states.
 
 Both paths are payload-linear: outcome k leaves the receiver M_k c in
 the frame {|beta>, |-beta>}, with c = (c_a, c_b)/N the realized payload
-on {|gamma>, |-gamma>}.  Each call builds the 2x2 maps M_k once from the
-basis payloads |+-gamma>; weights and every correction's fidelity are
-2x2 forms in c, the baseline reuses the maps for all its payloads, and
-the exact collapse runs on c_a S+ + c_b S- (the basis payloads' states).
+on {|gamma>, |-gamma>}; weights and every correction's fidelity are 2x2
+forms in c, and the baseline reuses the maps for all its payloads.  The
+maps come from frame coefficients, not from symbolic states: the ideal
+path contracts the quadruple's sign table (bell.FRAME_COEFFS) with the
+2x2 frame Gram matrices, and the homodyne path reads one three-mode
+probe into a (2, 2, 2) frame tensor (the |-gamma> probe is its T-parity
+flip), whose sign groups are slices and whose exact collapse is a 2x2
+half-line form per measured mode.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import numpy as np
 from .algebra import (CoherentSuperposition, DegenerateStateError,
                       gram_matrix, half_line_overlap, norm, normalize,
                       overlap, partial_overlap, tensor)
-from .bell import (LABELS, BellLabel, QuasiBellSet,
+from .bell import (FRAME_COEFFS, LABELS, BellLabel, QuasiBellSet,
                    generate_from_dynamics, make_quasi_bell,
                    measurement_bits)
 
@@ -175,6 +179,24 @@ def apply_correction(bob: CoherentSuperposition, label: CorrectionLabel,
 # Bell measurement as a POVM
 # ---------------------------------------------------------------------------
 
+def _lowdin(gram: np.ndarray, cond_limit: float = GRAM_CONDITION_LIMIT):
+    """G^{-1/2} and the condition number of the quadruple's Gram matrix.
+
+    Raises:
+        DegenerateBasisError: G is not positive definite, or its condition
+            number exceeds ``cond_limit``.
+    """
+    w, u = np.linalg.eigh(gram)
+    if w[0] <= 0.0:
+        raise DegenerateBasisError(
+            "Gram matrix is not positive definite (amplitudes too small)")
+    cond = float(w[-1] / w[0])
+    if cond > cond_limit:
+        raise DegenerateBasisError(
+            f"Gram condition number {cond:.3g} exceeds {cond_limit:.0e}")
+    return (u * (w ** -0.5)) @ u.conj().T, cond
+
+
 @dataclass(frozen=True)
 class LowdinMeasurement:
     """Symmetric orthogonalization of the quadruple, plus a remainder effect.
@@ -194,16 +216,7 @@ class LowdinMeasurement:
     @classmethod
     def from_set(cls, qset: QuasiBellSet,
                  cond_limit: float = GRAM_CONDITION_LIMIT) -> "LowdinMeasurement":
-        g = qset.gram
-        w, u = np.linalg.eigh(g)
-        if w[0] <= 0.0:
-            raise DegenerateBasisError(
-                "Gram matrix is not positive definite (amplitudes too small)")
-        cond = float(w[-1] / w[0])
-        if cond > cond_limit:
-            raise DegenerateBasisError(
-                f"Gram condition number {cond:.3g} exceeds {cond_limit:.0e}")
-        inv_sqrt = (u * (w ** -0.5)) @ u.conj().T
+        inv_sqrt, cond = _lowdin(qset.gram, cond_limit)
         basis = qset.ordered_states()
         vectors = []
         for k in range(4):
@@ -230,18 +243,38 @@ def initial_state(target: TargetState, alpha: float,
                   make_quasi_bell(BellLabel.PHI_PLUS, alpha, beta))
 
 
-def _frame_coords(s: CoherentSuperposition, beta: float) -> np.ndarray:
-    """Coefficients of a single-mode state in the frame {|beta>, |-beta>}."""
-    out = np.zeros(2, dtype=complex)
-    for t in s.terms:
-        a = t.amps[0]
-        if abs(a - beta) <= 1e-6:
-            out[0] += t.coeff
-        elif abs(a + beta) <= 1e-6:
-            out[1] += t.coeff
-        else:
-            raise ValueError(f"amplitude {a} is not +-{beta}")
+def _frame_tensor(state: CoherentSuperposition, frame) -> np.ndarray:
+    """Coefficients of a state on the product frame {|+-frame[m]>}.
+
+    Shape (2,) * num_modes; index 0 of mode m is |frame[m]>, index 1 is
+    |-frame[m]>.  An amplitude off the frame raises.
+    """
+    out = np.zeros((2,) * state.num_modes, dtype=complex)
+    for t in state.terms:
+        idx = tuple(0 if a.real > 0 else 1 for a in t.amps)
+        for a, i, x in zip(t.amps, idx, frame):
+            if abs(a - (x if i == 0 else -x)) > 1e-9 * max(1.0, x):
+                raise ValueError(f"amplitude {a} is not +-{x}")
+        out[idx] += t.coeff
     return out
+
+
+def _quadruple_reading(alpha: float, beta: float, gamma: float):
+    """The quadruple's Gram G on (a, T) at (alpha, gamma), and R.
+
+    R[j, x, r] is the |s_r beta> coordinate of <B_j|_{aT} |s_x gamma>_T
+    |Phi+>_{ab}, the channel at (alpha, beta), with s = (+1, -1).  Both
+    contract the real sign table FRAME_COEFFS with the frame kernels
+    K[i, j] = <s_i x|s_j x> of x = alpha and gamma.
+    """
+    k_a, k_g = (gram_matrix([CoherentSuperposition.coherent([x]),
+                             CoherentSuperposition.coherent([-x])])
+                for x in (alpha, gamma))
+    gram = np.einsum("jst,su,tv,kuv->jk", FRAME_COEFFS, k_a, k_g,
+                     FRAME_COEFFS)
+    reading = np.einsum("jst,su,tx,ur->jxr", FRAME_COEFFS, k_a, k_g,
+                        FRAME_COEFFS[0])
+    return gram, reading
 
 
 def expand_initial(target: TargetState, alpha: float, beta: float):
@@ -257,35 +290,22 @@ def expand_initial(target: TargetState, alpha: float, beta: float):
     """
     if not (alpha > 0 and beta > 0):
         raise ValueError("alpha and beta must be positive")
-    qset = QuasiBellSet.build(alpha, target.gamma)
-    g = qset.gram
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= 0.0 or w[-1] / w[0] > GRAM_CONDITION_LIMIT:
-        raise DegenerateBasisError(
-            "quadruple basis is numerically degenerate at these amplitudes")
-    total = initial_state(target, alpha, beta)
-    basis = qset.ordered_states()
-    # <B_j|total> over (a, T): bra mode 0 pairs with ket mode 1 (a),
-    # bra mode 1 with ket mode 0 (T); the remainder lives on mode b.
-    projected = [partial_overlap(b, total, (1, 0)) for b in basis]
-    rhs = np.stack([_frame_coords(r, beta) for r in projected])
-    coords = np.linalg.solve(g, rhs)
-    ket_b = CoherentSuperposition.coherent([beta])
-    ket_mb = CoherentSuperposition.coherent([-beta])
+    gram, reading = _quadruple_reading(alpha, beta, target.gamma)
+    _lowdin(gram)  # the measurement's degeneracy checks
+    chat = _frame_tensor(target.realized(), (target.gamma,))
+    coords = np.linalg.solve(gram, np.einsum("jxr,x->jr", reading, chat))
     out = []
-    recon = None
-    for k, lab in enumerate(LABELS):
-        comp = ket_b.scaled(coords[k, 0]) + ket_mb.scaled(coords[k, 1])
+    diff = initial_state(target, alpha, beta)
+    for lab, (cb, cmb) in zip(LABELS, coords):
+        comp = CoherentSuperposition(1, ((cb, (beta,)), (cmb, (-beta,))))
         c = norm(comp)
-        comp_n = comp.scaled(1.0 / c) if c > 0 else comp
-        out.append((lab, comp_n, c))
-        piece = tensor(basis[k], comp).permute_modes((1, 0, 2))
-        recon = piece if recon is None else recon + piece
-    resid2 = (overlap(total, total) + overlap(recon, recon)
-              - 2.0 * overlap(total, recon).real).real
-    if math.sqrt(max(resid2, 0.0)) > 1e-10:
+        out.append((lab, comp.scaled(1.0 / c) if c > 0 else comp, c))
+        diff = diff - tensor(make_quasi_bell(lab, alpha, target.gamma),
+                             comp).permute_modes((1, 0, 2))
+    resid = norm(diff)  # consolidation has cancelled the coefficients
+    if resid > 1e-10:
         raise AssertionError("quadruple expansion failed to reconstruct "
-                             f"the joint state (residual {resid2})")
+                             f"the joint state (residual {resid})")
     return out
 
 
@@ -293,23 +313,15 @@ def expand_initial(target: TargetState, alpha: float, beta: float):
 # Payload-linear branch maps
 # ---------------------------------------------------------------------------
 
-def _maps_from_probes(components, beta: float) -> np.ndarray:
-    """2x2 maps from the basis payloads' receiver components.
-
-    ``components[j][k]`` is outcome k's receiver state for basis payload
-    j, so ``maps[k][:, j]`` holds its coordinates in {|beta>, |-beta>}.
-    """
-    return np.array([[_frame_coords(s, beta) for s in row]
-                     for row in components]).transpose(1, 2, 0)
-
-
 def _ideal_maps(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Bell outcome -> 2x2 map, from the orthogonalized measurement."""
-    meas = LowdinMeasurement.from_set(QuasiBellSet.build(alpha, gamma))
-    channel = make_quasi_bell(BellLabel.PHI_PLUS, alpha, beta)
-    return _maps_from_probes(
-        [meas.collapse(tensor(CoherentSuperposition.coherent([x]), channel),
-                       (1, 0)) for x in (gamma, -gamma)], beta)
+    """Bell outcome -> 2x2 map, from the orthogonalized measurement.
+
+    <w_k| = sum_j conj(G^{-1/2})_{jk} <B_j|, so maps[k][r, x] is that sum
+    over the quadruple reading R[j, x, r].
+    """
+    gram, reading = _quadruple_reading(alpha, beta, gamma)
+    inv_sqrt, _ = _lowdin(gram)
+    return np.einsum("jk,jxr->krx", inv_sqrt.conj(), reading)
 
 
 def _correction_grams(beta: float) -> np.ndarray:
@@ -334,7 +346,7 @@ def _branch_statistics(maps: np.ndarray, target: TargetState,
     leaves the fidelity |chat^H C_j b_k|^2 / (chat^H G chat  b_k^H G b_k):
     the ideal receiver state's frame coordinates are proportional to chat.
     """
-    chat = _frame_coords(target.realized(), target.gamma)
+    chat = _frame_tensor(target.realized(), (target.gamma,))
     comps = maps @ chat
     weights = np.einsum("ki,ij,kj->k", comps.conj(), grams[0], comps).real
     amps = np.einsum("i,cij,kj->kc", chat.conj(), grams, comps)
@@ -399,7 +411,9 @@ class ProtocolRun:
         return c / c.sum()
 
 
-def _check_mode(mode: str, trials: int):
+def _check_mode(mode: str, trials: int, alpha: float, beta: float):
+    if not (alpha > 0 and beta > 0):
+        raise ValueError("alpha and beta must be positive")
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
     if mode == "sample" and trials < 1:
@@ -446,7 +460,7 @@ def run_teleport_ideal(target: TargetState, alpha: float, beta: float,
     probability-weighted average.  sample: identical per-branch data plus
     multinomial counts drawn with the seeded generator.
     """
-    _check_mode(mode, trials)
+    _check_mode(mode, trials, alpha, beta)
     comps, weights, fids = _branch_statistics(
         _ideal_maps(alpha, beta, target.gamma), target,
         _correction_grams(beta))
@@ -504,38 +518,23 @@ def three_mode_state(target: TargetState, alpha: float, beta: float,
             .cross_kerr_pi(0, 1))
 
 
-def _sign_components(state: CoherentSuperposition) -> list:
-    """Receiver component of each sign group, in _SIGN_PAIRS order.
-
-    Terms are grouped by the sign of Re(amp) on modes T and a.
-    """
-    groups = {pair: [] for pair in _SIGN_PAIRS}
-    for t in state.terms:
-        key = []
-        for m in (0, 1):
-            re = t.amps[m].real
-            if abs(re) <= 1e-9 * max(1.0, abs(t.amps[m])):
-                raise ValueError(
-                    "amplitude on a measured mode has no definite sign; "
-                    "choose a tabulated frequency row")
-            key.append(+1 if re > 0 else -1)
-        groups[tuple(key)].append((t.coeff, (t.amps[2],)))
-    return [CoherentSuperposition(1, tuple(groups[pair]))
-            for pair in _SIGN_PAIRS]
-
-
 def _derive_sign_corrections(alpha: float, beta: float, gamma: float,
                              freqs):
-    """Sign pair -> correction, the 2x2 maps and the basis probes' states.
+    """Each sign pair's correction, the 2x2 maps and the basis probes.
 
-    Probing with |gamma> and |-gamma> yields each sign group's 2x2 map in
-    the frame {|beta>, |-beta>} (returned in _SIGN_PAIRS order), which
-    must be proportional to exactly one of the four undoable patterns.
+    probes[x, t, a, b] is basis payload |s_x gamma>'s three-mode state on
+    the frames of (T, a, b).  P_T commutes with the T rotation and the
+    cross-Kerr step, and |-gamma> = P|gamma>, so the second probe is the
+    first with its T index flipped.  Sign group (t, a) is the slice
+    probes[:, t, a], so maps[2t + a][b, x] (_SIGN_PAIRS order) must be
+    proportional to exactly one of the four undoable patterns.
     """
-    basis = (TargetState(1.0, 0.0, gamma), TargetState(0.0, 1.0, gamma))
-    probes = tuple(three_mode_state(t, alpha, beta, freqs) for t in basis)
-    maps = _maps_from_probes(map(_sign_components, probes), beta)
-    mapping = {}
+    probe = _frame_tensor(
+        three_mode_state(TargetState(1.0, 0.0, gamma), alpha, beta, freqs),
+        (gamma, alpha, beta))
+    probes = np.stack([probe, probe[::-1]])
+    maps = probes.transpose(1, 2, 3, 0).reshape(4, 2, 2)
+    corrections = []
     for pair, mat in zip(_SIGN_PAIRS, maps):
         best = None
         for corr, pat in _COMPONENT_PATTERNS.items():
@@ -548,8 +547,8 @@ def _derive_sign_corrections(alpha: float, beta: float, gamma: float,
         if best is None:
             raise AssertionError(
                 f"sign group {pair} component matches no correction: {mat}")
-        mapping[pair] = best
-    return mapping, maps, probes
+        corrections.append(best)
+    return corrections, maps, probes
 
 
 def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
@@ -564,23 +563,22 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
     probabilities and fidelities from closed-form half-line overlaps, at
     every amplitude.
     """
-    _check_mode(mode, trials)
+    _check_mode(mode, trials, alpha, beta)
     if collapse not in ("exact", "branch"):
         raise ValueError("collapse must be exact or branch")
-    mapping, maps, probes = _derive_sign_corrections(alpha, beta,
-                                                     target.gamma, freqs)
-    comps, weights, fids = _branch_statistics(maps, target,
-                                              _correction_grams(beta))
-    corrections = [mapping[pair] for pair in _SIGN_PAIRS]
+    corrections, maps, probes = _derive_sign_corrections(
+        alpha, beta, target.gamma, freqs)
+    grams = _correction_grams(beta)
+    comps, weights, fids = _branch_statistics(maps, target, grams)
     if collapse == "branch":
         probs = weights / weights.sum()
         fids = [fids[k, CORRECTIONS.index(c)]
                 for k, c in enumerate(corrections)]
     else:
-        chat = _frame_coords(target.realized(), target.gamma)
-        state = probes[0].scaled(chat[0]) + probes[1].scaled(chat[1])
+        chat = _frame_tensor(target.realized(), (target.gamma,))
         probs, fids = _closed_form_sign_statistics(
-            state, mapping, target.ideal_bob(beta), beta)
+            np.tensordot(chat, probes, axes=1), corrections, chat, grams,
+            (target.gamma, alpha))
     return _build_run(
         "homodyne", target, alpha, beta,
         [(_sign_pair_label(pair), None) for pair in _SIGN_PAIRS],
@@ -590,32 +588,30 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
         collapse=collapse, freqs=tuple(tuple(r) for r in freqs))
 
 
-def _closed_form_sign_statistics(state, mapping, ideal, beta):
+def _closed_form_sign_statistics(state, corrections, chat, grams, measured):
     """Joint sign probabilities and corrected fidelities, exactly.
 
-    With terms c_i |t_i, a_i, b_i> and W_ji the product of the half-line
-    overlaps <t_j|Theta(+-X)|t_i> <a_j|Theta(+-X)|a_i> for a sign pair,
-    the pair's probability is p = sum_ij conj(c_j) c_i W_ji <b_j|b_i>.
+    ``state`` is the frame tensor c[t, a, b], ``measured`` the frame
+    amplitudes (x) of T and a, H^s[i, j] = <s_i x|Theta(s X)|s_j x> and
+    K = grams[0].  A sign pair's probability is c^H (H_T (x) H_a (x) K) c.
     The receiver's conditional state is a mixture over quadrature
-    readings; its corrected fidelity against the ideal phi is
-    sum_ij conj(c_j g_j) c_i g_i W_ji / p with g_i = <phi|U|b_i>.
+    readings; its corrected fidelity against the ideal state (frame
+    coordinates chat) is u^H (H_T (x) H_a) u / (p chat^H K chat) with
+    u = c <chat|U|.>, U the pair's correction.
     """
-    terms = state.terms
-    c = np.array([t.coeff for t in terms])
-    bobs = [CoherentSuperposition.coherent([t.amps[2]]) for t in terms]
-    bob_gram = gram_matrix(bobs)
-    half = {(m, s): np.array([[half_line_overlap(tj.amps[m], ti.amps[m], s)
-                               for ti in terms] for tj in terms])
-            for m in (0, 1) for s in (+1, -1)}
+    half = {(m, s): np.array([[half_line_overlap(u, v, s) for v in (x, -x)]
+                              for u in (x, -x)])
+            for m, x in enumerate(measured) for s in (+1, -1)}
+    phi_norm2 = np.vdot(chat, grams[0] @ chat).real
     probs, fids = [], []
-    for pair in _SIGN_PAIRS:
-        w = half[0, pair[0]] * half[1, pair[1]]
-        p = float(np.vdot(c, (w * bob_gram) @ c).real)
-        g = np.array([overlap(ideal, apply_correction(b, mapping[pair], beta))
-                      for b in bobs])
-        f = float(np.vdot(c * g, w @ (c * g)).real)
+    for (s_t, s_a), corr in zip(_SIGN_PAIRS, corrections):
+        h_t, h_a = half[0, s_t], half[1, s_a]
+        p = float(np.einsum("tab,tu,av,bc,uvc->", state.conj(), h_t, h_a,
+                            grams[0], state).real)
+        u = state @ (chat.conj() @ grams[CORRECTIONS.index(corr)])
+        f = float(np.einsum("ta,tu,av,uv->", u.conj(), h_t, h_a, u).real)
         probs.append(p)
-        fids.append(f / p if p > 0 else 0.0)
+        fids.append(f / (p * phi_norm2) if p > 0 else 0.0)
     return probs, fids  # both in _SIGN_PAIRS order
 
 
@@ -645,8 +641,7 @@ def classical_baseline(target: TargetState, alpha: float, beta: float,
     fixed payload the trials are one multinomial draw over the 16
     (branch, guess) cells, so memory does not grow with ``trials``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_mode("sample", trials, alpha, beta)
     rng = np.random.default_rng(seed)
     maps = _ideal_maps(alpha, beta, target.gamma)
     grams = _correction_grams(beta)

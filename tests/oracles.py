@@ -5,6 +5,9 @@ coherent coefficients, operator exponentials (Taylor series, not an
 eigendecomposition), Gaussian integrals (trapezoid or mpmath quadrature,
 not erfc) and the whole measurement pipeline are re-derived
 independently, so that every dual-route assertion really has two routes.
+The one exception is ``term_pair_sign_statistics``: it checks the frame
+reduction of the exact homodyne collapse, not the kernels, so it reuses
+the algebra's kernels on the full symbolic three-mode state.
 """
 
 from __future__ import annotations
@@ -176,3 +179,41 @@ def protocol_pipeline(c_a: complex, c_b: complex, gamma: float, alpha: float,
             fids.append(0.0)
     avg = float(sum(p * f for p, f in zip(probs, fids)))
     return np.array(probs), np.array(fids), avg
+
+
+_SIGN_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+
+def term_pair_sign_statistics(state, mapping, ideal, beta):
+    """Exact homodyne sign statistics as double sums over term pairs.
+
+    With terms c_i |t_i, a_i, b_i> and W_ji the product of the half-line
+    overlaps <t_j|Theta(+-X)|t_i> <a_j|Theta(+-X)|a_i> for a sign pair,
+    the pair's probability is p = sum_ij conj(c_j) c_i W_ji <b_j|b_i>.
+    The receiver's conditional state is a mixture over quadrature
+    readings; its corrected fidelity against the ideal phi is
+    sum_ij conj(c_j g_j) c_i g_i W_ji / p with g_i = <phi|U|b_i>.
+    ``mapping`` takes a sign pair to its correction; both returned lists
+    are in (++, +-, -+, --) order.
+    """
+    from catport.algebra import (CoherentSuperposition, gram_matrix,
+                                 half_line_overlap, overlap)
+    from catport.protocol import apply_correction
+
+    terms = state.terms
+    c = np.array([t.coeff for t in terms])
+    bobs = [CoherentSuperposition.coherent([t.amps[2]]) for t in terms]
+    bob_gram = gram_matrix(bobs)
+    half = {(m, s): np.array([[half_line_overlap(tj.amps[m], ti.amps[m], s)
+                               for ti in terms] for tj in terms])
+            for m in (0, 1) for s in (+1, -1)}
+    probs, fids = [], []
+    for pair in _SIGN_PAIRS:
+        w = half[0, pair[0]] * half[1, pair[1]]
+        p = float(np.vdot(c, (w * bob_gram) @ c).real)
+        g = np.array([overlap(ideal, apply_correction(b, mapping[pair], beta))
+                      for b in bobs])
+        f = float(np.vdot(c * g, w @ (c * g)).real)
+        probs.append(p)
+        fids.append(f / p if p > 0 else 0.0)
+    return probs, fids

@@ -9,7 +9,7 @@ from catport.bell import (FREQUENCY_TABLE, LABELS, BellLabel,
                           DisplacementQuantum, QuasiBellSet,
                           UnsupportedConfigurationError, combined_op,
                           eigen_residual, generate_from_dynamics,
-                          gram_closed_form, label_from_bits, make_cat,
+                          gram_closed_form, make_cat,
                           make_quasi_bell, measurement_bits,
                           parity_action_table, predicted_eigenvalue)
 from catport.fock import DynamicsParams, evolve, to_fock, truncation_rule
@@ -235,10 +235,6 @@ class TestEigenResidual:
 
 
 class TestBitDecoding:
-    def test_bits_round_trip(self):
-        for lab in LABELS:
-            assert label_from_bits(measurement_bits(lab)) is lab
-
     def test_bit_semantics(self):
         assert measurement_bits(BellLabel.PHI_PLUS) == (0, 0)
         assert measurement_bits(BellLabel.PHI_MINUS) == (0, 1)

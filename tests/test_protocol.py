@@ -18,7 +18,8 @@ from catport.protocol import (CORRECTIONS, CorrectionLabel,
                               correction_mu, three_mode_state)
 
 from oracles import (displacement_mat, gaussian_negative_mass,
-                     half_line_element_quad, parity_mat, protocol_pipeline)
+                     half_line_element_quad, parity_mat, protocol_pipeline,
+                     term_pair_sign_statistics)
 
 
 def coh(amp, coeff=1.0):
@@ -112,6 +113,19 @@ class TestExpandInitial:
         with pytest.raises(DegenerateBasisError):
             expand_initial(TargetState(1.0, 0.0, 5e-4), 5e-4, 1.0)
 
+    def test_random_cases_reconstruct(self):
+        # the residual is the norm of the consolidated difference, whose
+        # rounding floor sits far below the 1e-10 bound at every amplitude
+        for target, alpha, beta in _random_cases(0, 120):
+            assert len(expand_initial(target, alpha, beta)) == 4
+
+    def test_corrupted_solve_trips_residual(self, monkeypatch):
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: real(a, b)[[1, 0, 3, 2]])
+        with pytest.raises(AssertionError, match="reconstruct"):
+            expand_initial(TargetState(0.8, 0.6j, 1.5), 1.5, 1.5)
+
 
 class TestLowdin:
     def test_orthonormal_vectors(self):
@@ -180,6 +194,18 @@ class TestIdealRun:
             got_f = np.array([b.branch_fidelity for b in run.branches])
             assert np.max(np.abs(got_f - f_o)) < 1e-8
             assert abs(run.average_fidelity - avg_o) < 1e-8
+
+    def test_degenerate_basis_rejected(self):
+        with pytest.raises(DegenerateBasisError):
+            run_teleport_ideal(TargetState(1.0, 0.0, 5e-4), 5e-4, 5e-4)
+
+    def test_frame_gram_matches_closed_form(self):
+        grid = np.linspace(0.5, 6.0, 12)
+        for alpha in grid:
+            for gamma in grid:
+                gram, _ = protocol._quadruple_reading(alpha, 1.0, gamma)
+                want = bell.gram_closed_form(alpha, gamma)
+                assert np.max(np.abs(gram - want)) < 1e-14
 
     def test_average_is_probability_weighted(self):
         run = run_teleport_ideal(TargetState(0.6, 0.8, 2.0), 2.0, 2.0)
@@ -410,16 +436,33 @@ class TestClassicalBaseline:
 
     def test_sampled_targets_build_one_measurement(self, monkeypatch):
         calls = []
-        real = LowdinMeasurement.from_set
+        real = protocol._ideal_maps
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(LowdinMeasurement, "from_set", counting)
+        monkeypatch.setattr(protocol, "_ideal_maps", counting)
         classical_baseline(TargetState(1.0, 0.0, 2.0), 2.0, 2.0, trials=50,
                            seed=3, sample_targets=True)
         assert len(calls) == 1
+
+
+_ENTRY_POINTS = {
+    "ideal": run_teleport_ideal,
+    "homodyne": run_teleport_homodyne,
+    "baseline": lambda t, a, b: classical_baseline(t, a, b, trials=10),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+def test_non_positive_amplitude_rejected(entry, bad, which):
+    amps = {"alpha": 2.0, "beta": 2.0, which: bad}
+    with pytest.raises(ValueError, match="must be positive"):
+        _ENTRY_POINTS[entry](TargetState(1.0, 0.0, 2.0), amps["alpha"],
+                             amps["beta"])
 
 
 def _random_cases(seed, n):
@@ -486,27 +529,70 @@ class TestBranchMapsAgainstFullState:
                                         collapse="exact")
             mapping = {_sign_pair(br.outcome.label): br.correction
                        for br in run.branches}
-            probs, fids = protocol._closed_form_sign_statistics(
+            probs, fids = term_pair_sign_statistics(
                 three_mode_state(target, alpha, beta, freqs), mapping,
                 target.ideal_bob(beta), beta)
             got_f = [br.branch_fidelity for br in run.branches]
             assert np.max(np.abs(run.probabilities() - probs)) < 1e-12
             assert np.max(np.abs(np.array(got_f) - fids)) < 1e-12
 
-    def test_homodyne_builds_two_three_mode_states(self, monkeypatch):
-        calls = []
-        real = protocol.three_mode_state
+    def test_homodyne_builds_one_three_mode_state(self, monkeypatch):
+        calls = {}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(name):
+            real = getattr(protocol, name)
 
-        monkeypatch.setattr(protocol, "three_mode_state", counting)
-        for collapse in ("exact", "branch"):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(protocol, name, wrapper)
+
+        counting("three_mode_state")
+        counting("half_line_overlap")
+        for collapse, half_lines in (("exact", 16), ("branch", 0)):
             calls.clear()
             run_teleport_homodyne(TargetState(0.6, 0.8j, 2.0), 2.0, 2.0,
                                   collapse=collapse)
-            assert len(calls) == 2
+            assert calls.get("three_mode_state") == 1
+            assert calls.get("half_line_overlap", 0) == half_lines
+
+    @pytest.mark.parametrize("freqs", _ROW_PAIRS)
+    def test_flipped_probe_equals_symbolic_minus_gamma_probe(self, freqs):
+        # P_T commutes with the T rotation and the cross-Kerr step, and
+        # |-gamma> = P|gamma>: flipping T is exact, not approximate
+        rng = np.random.default_rng(sum(freqs[0] + freqs[1]))
+        for alpha, beta, gamma in rng.uniform(0.6, 5.0, (4, 3)):
+            frame = (gamma, alpha, beta)
+            plus, minus = (protocol._frame_tensor(
+                three_mode_state(TargetState(ca, cb, gamma), alpha, beta,
+                                 freqs), frame)
+                for ca, cb in ((1.0, 0.0), (0.0, 1.0)))
+            assert np.array_equal(minus, plus[::-1])
+
+    def test_no_symbolic_measurement_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run built the symbolic measurement")
+
+        monkeypatch.setattr(QuasiBellSet, "build", refuse)
+        monkeypatch.setattr(LowdinMeasurement, "from_set", refuse)
+        monkeypatch.setattr(protocol, "partial_overlap", refuse)
+        t = TargetState(0.6, 0.8j, 2.0)
+        assert run_teleport_ideal(t, 2.0, 2.5).average_fidelity > 0
+        for collapse in ("exact", "branch"):
+            run = run_teleport_homodyne(t, 2.0, 2.5, collapse=collapse)
+            assert run.average_fidelity > 0
+        guess, _ = classical_baseline(t, 2.0, 2.5, trials=20, seed=1,
+                                      sample_targets=True)
+        assert 0.0 <= guess <= 1.0
+
+    @pytest.mark.parametrize("collapse", ["exact", "branch"])
+    def test_tiny_amplitude_runs(self, collapse):
+        # no Gram matrix enters the homodyne path, so it runs where the
+        # ideal path's quadruple is degenerate
+        amp = 1e-6
+        run = run_teleport_homodyne(TargetState(0.6, 0.8j, amp), amp, amp,
+                                    collapse=collapse)
+        assert abs(run.probabilities().sum() - 1.0) < 1e-12
 
 
 class TestInitialState:
