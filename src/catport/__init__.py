@@ -16,7 +16,7 @@ from .algebra import (CoherentSuperposition, CoherentTerm,
 from .bell import (BellLabel, DisplacementQuantum, QuasiBellSet,
                    UnsupportedConfigurationError, combined_op,
                    eigen_residual, generate_from_dynamics, make_cat,
-                   make_quasi_bell, parity_action_table)
+                   make_quasi_bell)
 from .fock import (DynamicsParams, FockVector, evolve, fock_displacement,
                    fock_parity, half_line_projector, quadrature_x, to_fock,
                    truncation_rule)
@@ -35,7 +35,6 @@ __all__ = [
     "BellLabel", "DisplacementQuantum", "QuasiBellSet",
     "UnsupportedConfigurationError", "combined_op", "eigen_residual",
     "generate_from_dynamics", "make_cat", "make_quasi_bell",
-    "parity_action_table",
     "DynamicsParams", "FockVector", "evolve", "fock_displacement",
     "fock_parity", "half_line_projector", "quadrature_x", "to_fock",
     "truncation_rule",

@@ -57,8 +57,8 @@ __all__ = [
     "QuasiBellSet",
     "DisplacementQuantum",
     "FREQUENCY_TABLE",
+    "frequency_row",
     "generate_from_dynamics",
-    "parity_action_table",
     "combined_op",
     "predicted_eigenvalue",
     "eigen_residual",
@@ -200,6 +200,21 @@ FREQUENCY_TABLE = {
 }
 
 
+def frequency_row(row) -> tuple[int, int]:
+    """A row (omega_a, omega_b) as its FREQUENCY_TABLE key; 2.0 reads as 2.
+
+    Raises:
+        UnsupportedConfigurationError: no tabulated output for the row.
+    """
+    row = tuple(row)
+    key = next((k for k in FREQUENCY_TABLE if k == row), None)
+    if key is None:
+        raise UnsupportedConfigurationError(
+            f"no entangled output tabulated for frequencies {row!r} "
+            "(supported: 1 or 2 units of the coupling)")
+    return key
+
+
 def generate_from_dynamics(omega_a: int, omega_b: int, alpha: float,
                            beta: float):
     """Run the pi-point interaction on |alpha>|beta> and label the output.
@@ -213,11 +228,7 @@ def generate_from_dynamics(omega_a: int, omega_b: int, alpha: float,
     Raises:
         UnsupportedConfigurationError: frequency pair outside the table.
     """
-    key = (int(omega_a), int(omega_b))
-    if key != (omega_a, omega_b) or key not in FREQUENCY_TABLE:
-        raise UnsupportedConfigurationError(
-            f"no entangled output tabulated for frequencies {omega_a!r}, "
-            f"{omega_b!r} (supported: 1 or 2 units of the coupling)")
+    key = frequency_row((omega_a, omega_b))
     state = (CoherentSuperposition.coherent([alpha, beta])
              .rotate(0, math.pi * key[0])
              .rotate(1, math.pi * key[1])
@@ -229,30 +240,6 @@ def generate_from_dynamics(omega_a: int, omega_b: int, alpha: float,
         raise AssertionError(
             f"dynamics output does not match {label} (fidelity {f})")
     return state, label
-
-
-#: exact parity actions: (operator mode, input label) -> (output label, sign)
-_PARITY_TABLE = {
-    ("a", BellLabel.PHI_PLUS): (BellLabel.PSI_PLUS, +1),
-    ("a", BellLabel.PHI_MINUS): (BellLabel.PSI_MINUS, -1),
-    ("a", BellLabel.PSI_PLUS): (BellLabel.PHI_PLUS, +1),
-    ("a", BellLabel.PSI_MINUS): (BellLabel.PHI_MINUS, -1),
-    ("b", BellLabel.PHI_PLUS): (BellLabel.PHI_MINUS, +1),
-    ("b", BellLabel.PHI_MINUS): (BellLabel.PHI_PLUS, +1),
-    ("b", BellLabel.PSI_PLUS): (BellLabel.PSI_MINUS, -1),
-    ("b", BellLabel.PSI_MINUS): (BellLabel.PSI_PLUS, -1),
-}
-
-
-def parity_action_table(label: BellLabel, mode: str):
-    """Image of a single-mode parity flip: (new label, relative sign).
-
-    Exact at every amplitude (parity only permutes coherent amplitudes),
-    e.g. P_a Phi+ = +Psi+ and P_b Psi+ = -Psi-.
-    """
-    if mode not in ("a", "b"):
-        raise ValueError("mode must be 'a' or 'b'")
-    return _PARITY_TABLE[(mode, BellLabel(label))]
 
 
 def combined_op(state: CoherentSuperposition, which: str,

@@ -34,27 +34,30 @@ Both paths are payload-linear: outcome k leaves the receiver M_k c in
 the frame {|beta>, |-beta>}, with c = (c_a, c_b)/N the realized payload
 on {|gamma>, |-gamma>}; weights and every correction's fidelity are 2x2
 forms in c, and the baseline reuses the maps for all its payloads.  The
-maps come from frame coefficients, not from symbolic states: the ideal
-path contracts the quadruple's sign table (bell.FRAME_COEFFS) with the
-2x2 frame Gram matrices, and the homodyne path reads one three-mode
-probe into a (2, 2, 2) frame tensor (the |-gamma> probe is its T-parity
-flip), whose sign groups are slices and whose exact collapse is a 2x2
-half-line form per measured mode.
+maps come from frame tables, not from symbolic states: the ideal path
+contracts the quadruple's sign table (bell.FRAME_COEFFS) with the 2x2
+frame Gram matrices [[1, e^{-2x^2}], [e^{-2x^2}, 1]], and the homodyne
+path composes two pi-point steps, each a fixed +-1/2 table on the
+frames, into the probe table of both basis payloads, whose sign groups
+are slices and whose exact collapse is a 2x2 half-line form per
+measured mode.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (CoherentSuperposition, DegenerateStateError,
-                      gram_matrix, half_line_overlap, norm, normalize,
-                      overlap, partial_overlap, tensor)
+                      half_line_overlap, norm, normalize, overlap,
+                      partial_overlap, tensor)
 from .bell import (FRAME_COEFFS, LABELS, BellLabel, QuasiBellSet,
-                   generate_from_dynamics, make_quasi_bell,
+                   frequency_row, generate_from_dynamics, make_quasi_bell,
                    measurement_bits)
 
 __all__ = [
@@ -100,9 +103,11 @@ class TargetState:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         ca, cb = complex(self.c_a), complex(self.c_b)
+        if not (cmath.isfinite(ca) and cmath.isfinite(cb)):
+            raise ValueError("logical coefficients must be finite")
         w = math.sqrt(abs(ca) ** 2 + abs(cb) ** 2)
         if w <= 0.0:
             raise DegenerateStateError("both logical coefficients are zero")
@@ -132,20 +137,14 @@ class CorrectionLabel(enum.Enum):
         return self.value
 
 
-_CORRECTION_FOR_LABEL = {
-    BellLabel.PHI_PLUS: CorrectionLabel.IDENTITY,
-    BellLabel.PHI_MINUS: CorrectionLabel.PARITY,
-    BellLabel.PSI_PLUS: CorrectionLabel.DISP,
-    BellLabel.PSI_MINUS: CorrectionLabel.PARITY_DISP,
-}
-
+#: each Bell outcome's correction, in LABELS order
 CORRECTIONS = (CorrectionLabel.IDENTITY, CorrectionLabel.PARITY,
                CorrectionLabel.DISP, CorrectionLabel.PARITY_DISP)
 
 
 def correction_for_label(label: BellLabel) -> CorrectionLabel:
     """Correction selected by the two measurement bits of a Bell outcome."""
-    return _CORRECTION_FOR_LABEL[BellLabel(label)]
+    return CORRECTIONS[LABELS.index(BellLabel(label))]
 
 
 def correction_mu(beta: float) -> complex:
@@ -243,20 +242,23 @@ def initial_state(target: TargetState, alpha: float,
                   make_quasi_bell(BellLabel.PHI_PLUS, alpha, beta))
 
 
-def _frame_tensor(state: CoherentSuperposition, frame) -> np.ndarray:
-    """Coefficients of a state on the product frame {|+-frame[m]>}.
+def _frame_gram(x: float) -> np.ndarray:
+    """K[i, j] = <s_i x|s_j x> on the frame {|x>, |-x>}, s = (+1, -1)."""
+    e = math.exp(-2.0 * x * x)
+    return np.array([[1.0, e], [e, 1.0]], dtype=complex)
 
-    Shape (2,) * num_modes; index 0 of mode m is |frame[m]>, index 1 is
-    |-frame[m]>.  An amplitude off the frame raises.
-    """
-    out = np.zeros((2,) * state.num_modes, dtype=complex)
-    for t in state.terms:
-        idx = tuple(0 if a.real > 0 else 1 for a in t.amps)
-        for a, i, x in zip(t.amps, idx, frame):
-            if abs(a - (x if i == 0 else -x)) > 1e-9 * max(1.0, x):
-                raise ValueError(f"amplitude {a} is not +-{x}")
-        out[idx] += t.coeff
-    return out
+
+def _payload_frame(target: TargetState) -> np.ndarray:
+    """c / sqrt(c^H K_gamma c), c = (c_a, c_b): the realized payload on the
+    frame {|gamma>, |-gamma>}, summed in the algebra's term-pair order so
+    that it rounds (and seeded draws on it fall) as on target.realized()."""
+    c = (target.c_a, target.c_b)
+    k = _frame_gram(target.gamma)
+    norm2 = sum(c[i].conjugate() * c[j] * k[i, j]
+                for i in range(2) for j in range(2)).real
+    if not norm2 > 0.0:
+        raise DegenerateStateError("cannot normalize a zero-norm state")
+    return np.array(c) * (1.0 / math.sqrt(norm2))
 
 
 def _quadruple_reading(alpha: float, beta: float, gamma: float):
@@ -267,9 +269,7 @@ def _quadruple_reading(alpha: float, beta: float, gamma: float):
     contract the real sign table FRAME_COEFFS with the frame kernels
     K[i, j] = <s_i x|s_j x> of x = alpha and gamma.
     """
-    k_a, k_g = (gram_matrix([CoherentSuperposition.coherent([x]),
-                             CoherentSuperposition.coherent([-x])])
-                for x in (alpha, gamma))
+    k_a, k_g = _frame_gram(alpha), _frame_gram(gamma)
     gram = np.einsum("jst,su,tv,kuv->jk", FRAME_COEFFS, k_a, k_g,
                      FRAME_COEFFS)
     reading = np.einsum("jst,su,tx,ur->jxr", FRAME_COEFFS, k_a, k_g,
@@ -288,11 +288,10 @@ def expand_initial(target: TargetState, alpha: float, beta: float):
     Raises:
         DegenerateBasisError: measurement Gram too ill-conditioned.
     """
-    if not (alpha > 0 and beta > 0):
-        raise ValueError("alpha and beta must be positive")
+    _check_inputs(alpha, beta)
     gram, reading = _quadruple_reading(alpha, beta, target.gamma)
     _lowdin(gram)  # the measurement's degeneracy checks
-    chat = _frame_tensor(target.realized(), (target.gamma,))
+    chat = _payload_frame(target)
     coords = np.linalg.solve(gram, np.einsum("jxr,x->jr", reading, chat))
     out = []
     diff = initial_state(target, alpha, beta)
@@ -337,7 +336,7 @@ def _correction_grams(beta: float) -> np.ndarray:
                      for m in moved])
 
 
-def _branch_statistics(maps: np.ndarray, target: TargetState,
+def _branch_statistics(maps: np.ndarray, chat: np.ndarray,
                        grams: np.ndarray):
     """Receiver components b_k, branch weights and fidelities (k, correction).
 
@@ -346,7 +345,6 @@ def _branch_statistics(maps: np.ndarray, target: TargetState,
     leaves the fidelity |chat^H C_j b_k|^2 / (chat^H G chat  b_k^H G b_k):
     the ideal receiver state's frame coordinates are proportional to chat.
     """
-    chat = _frame_tensor(target.realized(), (target.gamma,))
     comps = maps @ chat
     weights = np.einsum("ki,ij,kj->k", comps.conj(), grams[0], comps).real
     amps = np.einsum("i,cij,kj->kc", chat.conj(), grams, comps)
@@ -411,9 +409,10 @@ class ProtocolRun:
         return c / c.sum()
 
 
-def _check_mode(mode: str, trials: int, alpha: float, beta: float):
-    if not (alpha > 0 and beta > 0):
-        raise ValueError("alpha and beta must be positive")
+def _check_inputs(alpha: float, beta: float, mode: str = "enumerate",
+                  trials: int = 1):
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError("alpha and beta must be positive and finite")
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
     if mode == "sample" and trials < 1:
@@ -460,11 +459,10 @@ def run_teleport_ideal(target: TargetState, alpha: float, beta: float,
     probability-weighted average.  sample: identical per-branch data plus
     multinomial counts drawn with the seeded generator.
     """
-    _check_mode(mode, trials, alpha, beta)
+    _check_inputs(alpha, beta, mode, trials)
     comps, weights, fids = _branch_statistics(
-        _ideal_maps(alpha, beta, target.gamma), target,
+        _ideal_maps(alpha, beta, target.gamma), _payload_frame(target),
         _correction_grams(beta))
-    # CORRECTIONS lists each Bell outcome's correction in LABELS order
     return _build_run(
         "ideal", target, alpha, beta,
         [(lab.value, measurement_bits(lab)) for lab in LABELS], CORRECTIONS,
@@ -508,31 +506,39 @@ def three_mode_state(target: TargetState, alpha: float, beta: float,
     Both steps run the pi-point interaction with their configured
     frequency row; mode order stays (T, a, b).
     """
-    row_ab, row_ta = (tuple(freqs[0]), tuple(freqs[1]))
-    channel, _ = generate_from_dynamics(row_ab[0], row_ab[1], alpha, beta)
+    row_ab, row_ta = frequency_row(freqs[0]), frequency_row(freqs[1])
+    channel, _ = generate_from_dynamics(*row_ab, alpha, beta)
     joint = tensor(target.realized(), channel)
-    if row_ta not in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        raise ValueError(f"unsupported frequency row {row_ta}")
     return (joint.rotate(0, math.pi * row_ta[0])
             .rotate(1, math.pi * row_ta[1])
             .cross_kerr_pi(0, 1))
 
 
-def _derive_sign_corrections(alpha: float, beta: float, gamma: float,
-                             freqs):
+def _pi_point(row) -> np.ndarray:
+    """Frame form of one pi-point step on two modes, at every amplitude.
+
+    |s_x X>|s_u Y> goes to sum_ij out[i, j, x, u] |s_i X>|s_j Y>: a free
+    rotation by pi w flips a frame index when w is odd, and the cross-Kerr
+    step weighs flips p, q by 1/2 (-1)^(pq), the algebra's four-term rule.
+    """
+    w1, w2 = (w % 2 for w in frequency_row(row))
+    out = np.zeros((2, 2, 2, 2))
+    for x, u, p, q in itertools.product((0, 1), repeat=4):
+        out[x ^ w1 ^ p, u ^ w2 ^ q, x, u] = 0.5 * (-1) ** (p * q)
+    return out
+
+
+def _derive_sign_corrections(freqs):
     """Each sign pair's correction, the 2x2 maps and the basis probes.
 
     probes[x, t, a, b] is basis payload |s_x gamma>'s three-mode state on
-    the frames of (T, a, b).  P_T commutes with the T rotation and the
-    cross-Kerr step, and |-gamma> = P|gamma>, so the second probe is the
-    first with its T index flipped.  Sign group (t, a) is the slice
-    probes[:, t, a], so maps[2t + a][b, x] (_SIGN_PAIRS order) must be
-    proportional to exactly one of the four undoable patterns.
+    the frames of (T, a, b): the channel step on |alpha>|beta>, then the
+    T-a step.  Sign group (t, a) is the slice probes[:, t, a], so
+    maps[2t + a][b, x] (_SIGN_PAIRS order) must be proportional to exactly
+    one of the four undoable patterns.
     """
-    probe = _frame_tensor(
-        three_mode_state(TargetState(1.0, 0.0, gamma), alpha, beta, freqs),
-        (gamma, alpha, beta))
-    probes = np.stack([probe, probe[::-1]])
+    probes = np.einsum("taxu,ub->xtab", _pi_point(freqs[1]),
+                       _pi_point(freqs[0])[:, :, 0, 0])
     maps = probes.transpose(1, 2, 3, 0).reshape(4, 2, 2)
     corrections = []
     for pair, mat in zip(_SIGN_PAIRS, maps):
@@ -563,19 +569,18 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
     probabilities and fidelities from closed-form half-line overlaps, at
     every amplitude.
     """
-    _check_mode(mode, trials, alpha, beta)
+    _check_inputs(alpha, beta, mode, trials)
     if collapse not in ("exact", "branch"):
         raise ValueError("collapse must be exact or branch")
-    corrections, maps, probes = _derive_sign_corrections(
-        alpha, beta, target.gamma, freqs)
+    corrections, maps, probes = _derive_sign_corrections(freqs)
+    chat = _payload_frame(target)
     grams = _correction_grams(beta)
-    comps, weights, fids = _branch_statistics(maps, target, grams)
+    comps, weights, fids = _branch_statistics(maps, chat, grams)
     if collapse == "branch":
         probs = weights / weights.sum()
         fids = [fids[k, CORRECTIONS.index(c)]
                 for k, c in enumerate(corrections)]
     else:
-        chat = _frame_tensor(target.realized(), (target.gamma,))
         probs, fids = _closed_form_sign_statistics(
             np.tensordot(chat, probes, axes=1), corrections, chat, grams,
             (target.gamma, alpha))
@@ -641,13 +646,13 @@ def classical_baseline(target: TargetState, alpha: float, beta: float,
     fixed payload the trials are one multinomial draw over the 16
     (branch, guess) cells, so memory does not grow with ``trials``.
     """
-    _check_mode("sample", trials, alpha, beta)
+    _check_inputs(alpha, beta, "sample", trials)
     rng = np.random.default_rng(seed)
     maps = _ideal_maps(alpha, beta, target.gamma)
     grams = _correction_grams(beta)
 
     def draw(t: TargetState, n: int) -> tuple[int, float]:
-        _, p, fmat = _branch_statistics(maps, t, grams)
+        _, p, fmat = _branch_statistics(maps, _payload_frame(t), grams)
         cells = rng.multinomial(n, np.repeat(p / (4.0 * p.sum()), 4))
         cells = cells.reshape(fmat.shape)
         # CORRECTIONS is in LABELS order: right guesses sit on the diagonal

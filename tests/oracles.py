@@ -5,9 +5,10 @@ coherent coefficients, operator exponentials (Taylor series, not an
 eigendecomposition), Gaussian integrals (trapezoid or mpmath quadrature,
 not erfc) and the whole measurement pipeline are re-derived
 independently, so that every dual-route assertion really has two routes.
-The one exception is ``term_pair_sign_statistics``: it checks the frame
-reduction of the exact homodyne collapse, not the kernels, so it reuses
-the algebra's kernels on the full symbolic three-mode state.
+The exceptions check frame reductions, not the kernels, so they work
+on the algebra's symbolic states: ``frame_tensor`` reads a state back
+into frame coefficients, and ``term_pair_sign_statistics`` reuses the
+algebra's kernels on the full symbolic three-mode state.
 """
 
 from __future__ import annotations
@@ -182,6 +183,22 @@ def protocol_pipeline(c_a: complex, c_b: complex, gamma: float, alpha: float,
 
 
 _SIGN_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+
+def frame_tensor(state, frame) -> np.ndarray:
+    """Coefficients of a symbolic state on the product frame {|+-frame[m]>}.
+
+    Shape (2,) * num_modes; index 0 of mode m is |frame[m]>, index 1 is
+    |-frame[m]>.  An amplitude off the frame raises.
+    """
+    out = np.zeros((2,) * state.num_modes, dtype=complex)
+    for t in state.terms:
+        idx = tuple(0 if a.real > 0 else 1 for a in t.amps)
+        for a, i, x in zip(t.amps, idx, frame):
+            if abs(a - (x if i == 0 else -x)) > 1e-9 * max(1.0, x):
+                raise ValueError(f"amplitude {a} is not +-{x}")
+        out[idx] += t.coeff
+    return out
 
 
 def term_pair_sign_statistics(state, mapping, ideal, beta):

@@ -9,9 +9,9 @@ from catport.bell import (FREQUENCY_TABLE, LABELS, BellLabel,
                           DisplacementQuantum, QuasiBellSet,
                           UnsupportedConfigurationError, combined_op,
                           eigen_residual, generate_from_dynamics,
-                          gram_closed_form, make_cat,
+                          frequency_row, gram_closed_form, make_cat,
                           make_quasi_bell, measurement_bits,
-                          parity_action_table, predicted_eigenvalue)
+                          predicted_eigenvalue)
 from catport.fock import DynamicsParams, evolve, to_fock, truncation_rule
 
 
@@ -108,30 +108,21 @@ class TestDynamics:
         with pytest.raises(UnsupportedConfigurationError):
             generate_from_dynamics(3, 1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("row, key", [((2.0, 2), (2, 2)),
+                                          ([1, 2.0], (1, 2)),
+                                          (np.array([2, 1]), (2, 1))])
+    def test_whole_number_rows_accepted_as_ints(self, row, key):
+        got = frequency_row(row)
+        assert got == key and all(type(w) is int for w in got)
+        assert generate_from_dynamics(*row, 1.0, 1.0)[1] is \
+            FREQUENCY_TABLE[key]
 
-class TestParityActions:
-    @pytest.mark.parametrize("mode", ["a", "b"])
-    @pytest.mark.parametrize("label", LABELS)
-    def test_table_verified_by_application(self, mode, label):
-        alpha, beta = 1.2, 0.7
-        target_label, sign = parity_action_table(label, mode)
-        s = make_quasi_bell(label, alpha, beta)
-        flipped = s.parity(0 if mode == "a" else 1)
-        want = make_quasi_bell(target_label, alpha, beta).scaled(sign)
-        # exact at every amplitude, sign included
-        assert abs(overlap(flipped, want) - 1.0) < 1e-12
-
-    def test_pinned_entries(self):
-        assert parity_action_table(BellLabel.PHI_PLUS, "a") == \
-            (BellLabel.PSI_PLUS, +1)
-        assert parity_action_table(BellLabel.PSI_PLUS, "b") == \
-            (BellLabel.PSI_MINUS, -1)
-
-    def test_double_application_is_identity(self):
-        lab, sign = parity_action_table(BellLabel.PHI_MINUS, "a")
-        lab2, sign2 = parity_action_table(lab, "a")
-        assert lab2 is BellLabel.PHI_MINUS
-        assert sign * sign2 == +1
+    @pytest.mark.parametrize("row", [(3, 1), (2.5, 2), (2, 0), (2, 2, 2),
+                                     (math.inf, 2), (math.nan, 1),
+                                     ("2", 2), (None, 2)])
+    def test_unsupported_rows_rejected(self, row):
+        with pytest.raises(UnsupportedConfigurationError):
+            frequency_row(row)
 
 
 class TestCombinedOperators:

@@ -7,7 +7,8 @@ from catport import bell, fock, protocol
 from catport.algebra import (CoherentSuperposition, DegenerateStateError,
                              fidelity, half_line_overlap, norm, normalize,
                              overlap)
-from catport.bell import LABELS, BellLabel, QuasiBellSet
+from catport.bell import (LABELS, BellLabel, QuasiBellSet,
+                          UnsupportedConfigurationError)
 from catport.protocol import (CORRECTIONS, CorrectionLabel,
                               DegenerateBasisError, LowdinMeasurement,
                               TargetState, apply_correction,
@@ -17,7 +18,7 @@ from catport.protocol import (CORRECTIONS, CorrectionLabel,
                               run_teleport_homodyne, run_teleport_ideal,
                               correction_mu, three_mode_state)
 
-from oracles import (displacement_mat, gaussian_negative_mass,
+from oracles import (displacement_mat, frame_tensor, gaussian_negative_mass,
                      half_line_element_quad, parity_mat, protocol_pipeline,
                      term_pair_sign_statistics)
 
@@ -452,7 +453,16 @@ _ENTRY_POINTS = {
     "ideal": run_teleport_ideal,
     "homodyne": run_teleport_homodyne,
     "baseline": lambda t, a, b: classical_baseline(t, a, b, trials=10),
+    "expand": expand_initial,
 }
+
+
+def _refuse_work(monkeypatch, names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the inputs were checked")
+
+    for name in names:
+        monkeypatch.setattr(protocol, name, refuse)
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
@@ -463,6 +473,49 @@ def test_non_positive_amplitude_rejected(entry, bad, which):
     with pytest.raises(ValueError, match="must be positive"):
         _ENTRY_POINTS[entry](TargetState(1.0, 0.0, 2.0), amps["alpha"],
                              amps["beta"])
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("which", ["alpha", "beta", "gamma", "c_a"])
+def test_non_finite_input_rejected_up_front(entry, bad, which, monkeypatch):
+    # the frame tables are finite at every amplitude, so only these
+    # checks stop an infinite amplitude or coefficient
+    _refuse_work(monkeypatch, ("_quadruple_reading", "_payload_frame",
+                               "_derive_sign_corrections",
+                               "_correction_grams"))
+    args = {"alpha": 2.0, "beta": 2.0, "gamma": 2.0, "c_a": 0.6, which: bad}
+    with pytest.raises(ValueError, match="finite"):
+        target = TargetState(args["c_a"], 0.8, args["gamma"])
+        _ENTRY_POINTS[entry](target, args["alpha"], args["beta"])
+
+
+@pytest.mark.parametrize("bad", [(3, 1), (2.5, 2)])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_unsupported_row_rejected_up_front(bad, slot, monkeypatch):
+    _refuse_work(monkeypatch, ("_correction_grams", "_payload_frame",
+                               "generate_from_dynamics"))
+    freqs = [(2, 2), (2, 2)]
+    freqs[slot] = bad
+    target = TargetState(0.6, 0.8, 2.0)
+    with pytest.raises(UnsupportedConfigurationError):
+        run_teleport_homodyne(target, 2.0, 2.0, freqs=freqs)
+    with pytest.raises(UnsupportedConfigurationError):
+        three_mode_state(target, 2.0, 2.0, freqs)
+
+
+@pytest.mark.parametrize("collapse", ["exact", "branch"])
+def test_whole_number_float_rows_accepted(collapse):
+    target = TargetState(0.6, 0.8j, 2.0)
+    for freqs in (([2.0, 2], (1, 2)), ((1, 1), [2.0, 2])):
+        ints = tuple(tuple(int(w) for w in row) for row in freqs)
+        got, want = (run_teleport_homodyne(target, 2.0, 2.5, freqs=f,
+                                           collapse=collapse)
+                     for f in (freqs, ints))
+        assert np.array_equal(got.probabilities(), want.probabilities())
+        assert got.average_fidelity == want.average_fidelity
+        assert fidelity(three_mode_state(target, 2.0, 2.5, freqs),
+                        three_mode_state(target, 2.0, 2.5, ints)) > 1 - 1e-15
 
 
 def _random_cases(seed, n):
@@ -536,38 +589,55 @@ class TestBranchMapsAgainstFullState:
             assert np.max(np.abs(run.probabilities() - probs)) < 1e-12
             assert np.max(np.abs(np.array(got_f) - fids)) < 1e-12
 
-    def test_homodyne_builds_one_three_mode_state(self, monkeypatch):
+    def test_homodyne_builds_no_three_mode_state(self, monkeypatch):
         calls = {}
 
-        def counting(name):
-            real = getattr(protocol, name)
+        def counting(owner, name):
+            real = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
                 return real(*args, **kwargs)
-            monkeypatch.setattr(protocol, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        counting("three_mode_state")
-        counting("half_line_overlap")
+        counting(protocol, "three_mode_state")
+        counting(protocol, "generate_from_dynamics")
+        counting(protocol, "half_line_overlap")
+        counting(CoherentSuperposition, "__post_init__")
         for collapse, half_lines in (("exact", 16), ("branch", 0)):
             calls.clear()
             run_teleport_homodyne(TargetState(0.6, 0.8j, 2.0), 2.0, 2.0,
                                   collapse=collapse)
-            assert calls.get("three_mode_state") == 1
+            assert calls.get("three_mode_state", 0) == 0
+            assert calls.get("generate_from_dynamics", 0) == 0
             assert calls.get("half_line_overlap", 0) == half_lines
+            # all of them in the correction Grams and the records
+            assert calls["__post_init__"] <= 28
+        calls.clear()
+        protocol._quadruple_reading(2.0, 2.5, 1.5)
+        protocol._payload_frame(TargetState(0.6, 0.8j, 1.5))
+        protocol._derive_sign_corrections(((1, 2), (2, 1)))
+        assert calls.get("__post_init__", 0) == 0
 
     @pytest.mark.parametrize("freqs", _ROW_PAIRS)
-    def test_flipped_probe_equals_symbolic_minus_gamma_probe(self, freqs):
-        # P_T commutes with the T rotation and the cross-Kerr step, and
-        # |-gamma> = P|gamma>: flipping T is exact, not approximate
+    def test_table_probes_equal_symbolic_probes(self, freqs):
+        # the pi-point tables hold at every amplitude: both basis payloads'
+        # symbolic three-mode states read back to the same 0, +-1/2 pattern
+        _, _, probes = protocol._derive_sign_corrections(freqs)
         rng = np.random.default_rng(sum(freqs[0] + freqs[1]))
         for alpha, beta, gamma in rng.uniform(0.6, 5.0, (4, 3)):
             frame = (gamma, alpha, beta)
-            plus, minus = (protocol._frame_tensor(
+            symbolic = np.stack([frame_tensor(
                 three_mode_state(TargetState(ca, cb, gamma), alpha, beta,
                                  freqs), frame)
-                for ca, cb in ((1.0, 0.0), (0.0, 1.0)))
-            assert np.array_equal(minus, plus[::-1])
+                for ca, cb in ((1.0, 0.0), (0.0, 1.0))])
+            assert np.max(np.abs(probes - symbolic)) < 1e-15
+
+    def test_payload_frame_matches_realized_state(self):
+        for target, _, _ in _random_cases(404, 50):
+            want = frame_tensor(target.realized(), (target.gamma,))
+            got = protocol._payload_frame(target)
+            assert np.max(np.abs(got - want)) < 1e-14
 
     def test_no_symbolic_measurement_route(self, monkeypatch):
         def refuse(*args, **kwargs):
