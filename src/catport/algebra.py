@@ -97,7 +97,7 @@ def _amp_distance(a: tuple[complex, ...], b: tuple[complex, ...]) -> float:
     return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(a, b)))
 
 
-def _consolidate(terms, tol: float) -> tuple[CoherentTerm, ...]:
+def _consolidate(terms) -> tuple[CoherentTerm, ...]:
     """Merge terms with coinciding amplitude tuples; drop zero weights.
 
     Order-stable and idempotent: re-consolidating a consolidated list
@@ -106,7 +106,7 @@ def _consolidate(terms, tol: float) -> tuple[CoherentTerm, ...]:
     merged: list[list] = []
     for t in terms:
         for m in merged:
-            if _amp_distance(m[1], t.amps) <= tol:
+            if _amp_distance(m[1], t.amps) <= DEFAULT_MERGE_TOL:
                 m[0] += t.coeff
                 break
         else:
@@ -124,14 +124,13 @@ class CoherentSuperposition:
     """Finite superposition of multi-mode coherent product terms.
 
     Terms are consolidated on construction: no two surviving terms have
-    amplitude tuples within ``tol`` of each other, and exactly-cancelled
-    terms disappear (a fully cancelled state has an empty term list and
-    norm zero).
+    amplitude tuples within DEFAULT_MERGE_TOL of each other, and
+    exactly-cancelled terms disappear (a fully cancelled state has an empty
+    term list and norm zero).
     """
 
     num_modes: int
     terms: tuple[CoherentTerm, ...]
-    tol: float = DEFAULT_MERGE_TOL
 
     def __post_init__(self):
         if self.num_modes < 1:
@@ -143,7 +142,7 @@ class CoherentSuperposition:
                 raise DimensionMismatchError(
                     f"term has {len(t.amps)} amplitudes, state has "
                     f"{self.num_modes} modes")
-        object.__setattr__(self, "terms", _consolidate(terms, self.tol))
+        object.__setattr__(self, "terms", _consolidate(terms))
 
     # -- constructors ------------------------------------------------------
 
@@ -163,8 +162,7 @@ class CoherentSuperposition:
         factor = _as_complex(factor)
         return CoherentSuperposition(
             self.num_modes,
-            tuple(CoherentTerm(factor * t.coeff, t.amps) for t in self.terms),
-            self.tol)
+            tuple(CoherentTerm(factor * t.coeff, t.amps) for t in self.terms))
 
     def __mul__(self, factor):
         return self.scaled(factor)
@@ -174,8 +172,7 @@ class CoherentSuperposition:
     def __add__(self, other: "CoherentSuperposition") -> "CoherentSuperposition":
         if self.num_modes != other.num_modes:
             raise DimensionMismatchError("mode counts differ")
-        return CoherentSuperposition(self.num_modes, self.terms + other.terms,
-                                     max(self.tol, other.tol))
+        return CoherentSuperposition(self.num_modes, self.terms + other.terms)
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
@@ -201,7 +198,7 @@ class CoherentSuperposition:
             phase = cmath.exp(1j * (eps * a.conjugate()).imag)
             amps = t.amps[:mode] + (a + eps,) + t.amps[mode + 1:]
             new.append(CoherentTerm(t.coeff * phase, amps))
-        return CoherentSuperposition(self.num_modes, tuple(new), self.tol)
+        return CoherentSuperposition(self.num_modes, tuple(new))
 
     def parity(self, mode: int) -> "CoherentSuperposition":
         """Apply exp(i pi n) on one mode: every amplitude flips sign."""
@@ -210,7 +207,7 @@ class CoherentSuperposition:
             CoherentTerm(t.coeff,
                          t.amps[:mode] + (-t.amps[mode],) + t.amps[mode + 1:])
             for t in self.terms)
-        return CoherentSuperposition(self.num_modes, new, self.tol)
+        return CoherentSuperposition(self.num_modes, new)
 
     def rotate(self, mode: int, theta: float) -> "CoherentSuperposition":
         """Free-evolution phase: amplitude -> amplitude * exp(-i theta)."""
@@ -220,7 +217,7 @@ class CoherentSuperposition:
             CoherentTerm(t.coeff,
                          t.amps[:mode] + (t.amps[mode] * ph,) + t.amps[mode + 1:])
             for t in self.terms)
-        return CoherentSuperposition(self.num_modes, new, self.tol)
+        return CoherentSuperposition(self.num_modes, new)
 
     def cross_kerr_pi(self, mode_a: int, mode_b: int) -> "CoherentSuperposition":
         """Apply exp(-i pi n_A n_B) between two distinct modes.
@@ -242,7 +239,7 @@ class CoherentSuperposition:
                 amps[mode_a] = sx * x
                 amps[mode_b] = sy * y
                 new.append(CoherentTerm(cx, tuple(amps)))
-        return CoherentSuperposition(self.num_modes, tuple(new), self.tol)
+        return CoherentSuperposition(self.num_modes, tuple(new))
 
     # -- mode bookkeeping ---------------------------------------------------
 
@@ -253,7 +250,7 @@ class CoherentSuperposition:
             raise ValueError(f"{perm} is not a permutation of the modes")
         new = tuple(CoherentTerm(t.coeff, tuple(t.amps[p] for p in perm))
                     for t in self.terms)
-        return CoherentSuperposition(self.num_modes, new, self.tol)
+        return CoherentSuperposition(self.num_modes, new)
 
     def max_abs_amplitude(self) -> float:
         """Largest |amplitude| over all terms and modes (0 for the zero state)."""
@@ -351,8 +348,7 @@ def tensor(s1: CoherentSuperposition,
     """Product state on the concatenated mode list (s1 modes first)."""
     new = tuple(CoherentTerm(t1.coeff * t2.coeff, t1.amps + t2.amps)
                 for t1 in s1.terms for t2 in s2.terms)
-    return CoherentSuperposition(s1.num_modes + s2.num_modes, new,
-                                 max(s1.tol, s2.tol))
+    return CoherentSuperposition(s1.num_modes + s2.num_modes, new)
 
 
 def partial_overlap(bra: CoherentSuperposition, ket: CoherentSuperposition,
@@ -386,8 +382,7 @@ def partial_overlap(bra: CoherentSuperposition, ket: CoherentSuperposition,
             for i, m in enumerate(ket_modes):
                 c *= _kernel(tb.amps[i], tk.amps[m])
             new.append(CoherentTerm(c, tuple(tk.amps[m] for m in keep)))
-    return CoherentSuperposition(len(keep), tuple(new),
-                                 max(bra.tol, ket.tol))
+    return CoherentSuperposition(len(keep), tuple(new))
 
 
 def half_line_overlap(u, v, sign: int) -> complex:

@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .algebra import gram_matrix
-from .bell import (FREQUENCY_TABLE, LABELS, BellLabel,
+from .bell import (FREQUENCY_TABLE, LABELS, BellLabel, frequency_row,
                    generate_from_dynamics, gram_closed_form, make_quasi_bell)
 from .checks import run_checks
 from .protocol import (TargetState, classical_baseline, run_teleport_homodyne,
@@ -150,10 +150,7 @@ def _freqs(x):
     rows = [tuple(_pos_int(v) for v in row) for row in x]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError("freqs must be two [omega, omega] rows")
-    for r in rows:
-        if r not in FREQUENCY_TABLE:
-            raise ValueError(f"frequency row {list(r)} not in the table")
-    return (rows[0], rows[1])
+    return (frequency_row(rows[0]), frequency_row(rows[1]))
 
 
 _TELEPORT_SCHEMA = {

@@ -104,12 +104,6 @@ class FockVector:
     def fidelity(self, other: "FockVector") -> float:
         return abs(self.inner(other)) ** 2 / (self.norm() ** 2 * other.norm() ** 2)
 
-    def normalized(self) -> "FockVector":
-        n = self.norm()
-        if n <= 0.0:
-            raise ValueError("zero-norm vector")
-        return FockVector(self.dims, self.data / n)
-
     def to_dict(self) -> dict:
         flat = self.data.reshape(-1)
         return {"dims": list(self.dims),

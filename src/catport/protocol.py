@@ -32,15 +32,18 @@ the closed-form half-line overlaps <u|Theta(+-X)|v> of coherent states.
 
 Both paths are payload-linear: outcome k leaves the receiver M_k c in
 the frame {|beta>, |-beta>}, with c = (c_a, c_b)/N the realized payload
-on {|gamma>, |-gamma>}; weights and every correction's fidelity are 2x2
-forms in c, and the baseline reuses the maps for all its payloads.  The
-maps come from frame tables, not from symbolic states: the ideal path
-contracts the quadruple's sign table (bell.FRAME_COEFFS) with the 2x2
-frame Gram matrices [[1, e^{-2x^2}], [e^{-2x^2}, 1]], and the homodyne
-path composes two pi-point steps, each a fixed +-1/2 table on the
-frames, into the probe table of both basis payloads, whose sign groups
-are slices and whose exact collapse is a 2x2 half-line form per
-measured mode.
+on {|gamma>, |-gamma>}, and the baseline reuses the maps for all its
+payloads.  The maps come from frame tables, not from symbolic states:
+the ideal path contracts the quadruple's sign table (bell.FRAME_COEFFS)
+with the 2x2 frame Gram matrices [[1, e^{-2x^2}], [e^{-2x^2}, 1]], and
+the homodyne path composes two pi-point steps, each a fixed +-1/2 table
+on the frames, into the probe table of both basis payloads.  One kernel
+turns the receiver components into weights and every correction's
+fidelity as 2x2 forms in c, given each outcome's effect on the measured
+frames: for the exact collapse, the Kronecker product of the measured
+modes' half-line matrices <s_i x|Theta(s X)|s_j x>; for the branch
+readout and the ideal path, its large-amplitude limit, the projector on
+one frame index.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ class TargetState:
         ca, cb = complex(self.c_a), complex(self.c_b)
         if not (cmath.isfinite(ca) and cmath.isfinite(cb)):
             raise ValueError("logical coefficients must be finite")
-        w = math.sqrt(abs(ca) ** 2 + abs(cb) ** 2)
+        w = math.hypot(abs(ca), abs(cb))
         if w <= 0.0:
             raise DegenerateStateError("both logical coefficients are zero")
         object.__setattr__(self, "c_a", ca / w)
@@ -178,21 +181,21 @@ def apply_correction(bob: CoherentSuperposition, label: CorrectionLabel,
 # Bell measurement as a POVM
 # ---------------------------------------------------------------------------
 
-def _lowdin(gram: np.ndarray, cond_limit: float = GRAM_CONDITION_LIMIT):
+def _lowdin(gram: np.ndarray):
     """G^{-1/2} and the condition number of the quadruple's Gram matrix.
 
     Raises:
         DegenerateBasisError: G is not positive definite, or its condition
-            number exceeds ``cond_limit``.
+            number exceeds GRAM_CONDITION_LIMIT.
     """
     w, u = np.linalg.eigh(gram)
     if w[0] <= 0.0:
         raise DegenerateBasisError(
             "Gram matrix is not positive definite (amplitudes too small)")
     cond = float(w[-1] / w[0])
-    if cond > cond_limit:
-        raise DegenerateBasisError(
-            f"Gram condition number {cond:.3g} exceeds {cond_limit:.0e}")
+    if cond > GRAM_CONDITION_LIMIT:
+        raise DegenerateBasisError(f"Gram condition number {cond:.3g} "
+                                   f"exceeds {GRAM_CONDITION_LIMIT:.0e}")
     return (u * (w ** -0.5)) @ u.conj().T, cond
 
 
@@ -213,9 +216,8 @@ class LowdinMeasurement:
     condition_number: float = 0.0
 
     @classmethod
-    def from_set(cls, qset: QuasiBellSet,
-                 cond_limit: float = GRAM_CONDITION_LIMIT) -> "LowdinMeasurement":
-        inv_sqrt, cond = _lowdin(qset.gram, cond_limit)
+    def from_set(cls, qset: QuasiBellSet) -> "LowdinMeasurement":
+        inv_sqrt, cond = _lowdin(qset.gram)
         basis = qset.ordered_states()
         vectors = []
         for k in range(4):
@@ -245,20 +247,17 @@ def initial_state(target: TargetState, alpha: float,
 def _frame_gram(x: float) -> np.ndarray:
     """K[i, j] = <s_i x|s_j x> on the frame {|x>, |-x>}, s = (+1, -1)."""
     e = math.exp(-2.0 * x * x)
-    return np.array([[1.0, e], [e, 1.0]], dtype=complex)
+    return np.array([[1.0, e], [e, 1.0]])
 
 
 def _payload_frame(target: TargetState) -> np.ndarray:
     """c / sqrt(c^H K_gamma c), c = (c_a, c_b): the realized payload on the
-    frame {|gamma>, |-gamma>}, summed in the algebra's term-pair order so
-    that it rounds (and seeded draws on it fall) as on target.realized()."""
-    c = (target.c_a, target.c_b)
-    k = _frame_gram(target.gamma)
-    norm2 = sum(c[i].conjugate() * c[j] * k[i, j]
-                for i in range(2) for j in range(2)).real
+    frame {|gamma>, |-gamma>}."""
+    c = np.array([target.c_a, target.c_b])
+    norm2 = np.vdot(c, _frame_gram(target.gamma) @ c).real
     if not norm2 > 0.0:
         raise DegenerateStateError("cannot normalize a zero-norm state")
-    return np.array(c) * (1.0 / math.sqrt(norm2))
+    return c / math.sqrt(norm2)
 
 
 def _quadruple_reading(alpha: float, beta: float, gamma: float):
@@ -336,22 +335,29 @@ def _correction_grams(beta: float) -> np.ndarray:
                      for m in moved])
 
 
-def _branch_statistics(maps: np.ndarray, chat: np.ndarray,
-                       grams: np.ndarray):
-    """Receiver components b_k, branch weights and fidelities (k, correction).
+#: the branch readout: outcome k keeps measured frame index k alone
+_BRANCH_EFFECTS = np.einsum("km,kn->kmn", np.eye(4), np.eye(4))
 
-    With chat the realized payload's coefficients on {|gamma>, |-gamma>},
-    b_k = maps[k] chat weighs b_k^H G b_k (G = grams[0]) and correction j
-    leaves the fidelity |chat^H C_j b_k|^2 / (chat^H G chat  b_k^H G b_k):
-    the ideal receiver state's frame coordinates are proportional to chat.
+
+def _statistics(comps: np.ndarray, effects: np.ndarray, chat: np.ndarray,
+                grams: np.ndarray):
+    """Outcome probabilities p[k] and fidelities f[k, c] under correction c.
+
+    comps[m] is the receiver's frame coordinates on measured frame index
+    m, effects[k, m, n] outcome k's effect on the measured frames and
+    G = grams[0], so p_k = sum_mn comps[m]^H effects[k, m, n] G comps[n].
+    The receiver's conditional state is a mixture over the readings; its
+    fidelity after correction c against the ideal state (frame coordinates
+    proportional to chat) is u^H effects[k] u / (p_k chat^H G chat) with
+    u[m] = chat^H C_c comps[m], C_c = grams[c] (see _correction_grams).
     """
-    comps = maps @ chat
-    weights = np.einsum("ki,ij,kj->k", comps.conj(), grams[0], comps).real
-    amps = np.einsum("i,cij,kj->kc", chat.conj(), grams, comps)
-    scale = np.vdot(chat, grams[0] @ chat).real * weights[:, None]
-    fids = np.divide(np.abs(amps) ** 2, scale, out=np.zeros(amps.shape),
-                     where=scale > 0)
-    return comps, weights, fids
+    probs = np.einsum("mi,kmn,ij,nj->k", comps.conj(), effects, grams[0],
+                      comps).real
+    u = np.einsum("i,cij,mj->cm", chat.conj(), grams, comps)
+    num = np.einsum("cm,kmn,cn->kc", u.conj(), effects, u).real
+    scale = np.vdot(chat, grams[0] @ chat).real * probs[:, None]
+    fids = np.divide(num, scale, out=np.zeros(num.shape), where=scale > 0)
+    return probs, fids
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +426,20 @@ def _check_inputs(alpha: float, beta: float, mode: str = "enumerate",
 
 
 def _build_run(path: str, target: TargetState, alpha: float, beta: float,
-               outcomes, corrections, comps, probs, fids, mode: str,
-               seed: int | None, trials: int, **extra) -> ProtocolRun:
-    """A run from per-branch (label, eigen_bits) outcomes, corrections,
-    receiver frame coordinates, probabilities and fidelities."""
-    probs, fids = [float(p) for p in probs], [float(f) for f in fids]
+               maps, effects, outcomes, corrections, mode: str,
+               seed: int | None, trials: int, renormalize: bool = False,
+               **extra) -> ProtocolRun:
+    """A run from the 2x2 maps, the outcome effects (see _statistics), the
+    per-branch (label, eigen_bits) outcomes and corrections; renormalize
+    rescales the probabilities to sum to 1."""
+    chat = _payload_frame(target)
+    comps = maps @ chat
+    probs, fids = _statistics(comps, effects, chat, _correction_grams(beta))
+    if renormalize:
+        probs = probs / probs.sum()
+    probs = [float(p) for p in probs]
+    fids = [float(fids[k, CORRECTIONS.index(c)])
+            for k, c in enumerate(corrections)]
     branches = []
     for (label, bits), corr, v, p, f in zip(outcomes, corrections, comps,
                                             probs, fids):
@@ -460,13 +475,11 @@ def run_teleport_ideal(target: TargetState, alpha: float, beta: float,
     multinomial counts drawn with the seeded generator.
     """
     _check_inputs(alpha, beta, mode, trials)
-    comps, weights, fids = _branch_statistics(
-        _ideal_maps(alpha, beta, target.gamma), _payload_frame(target),
-        _correction_grams(beta))
     return _build_run(
         "ideal", target, alpha, beta,
+        _ideal_maps(alpha, beta, target.gamma), _BRANCH_EFFECTS,
         [(lab.value, measurement_bits(lab)) for lab in LABELS], CORRECTIONS,
-        comps, weights, fids.diagonal(), mode, seed, trials)
+        mode, seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +542,14 @@ def _pi_point(row) -> np.ndarray:
 
 
 def _derive_sign_corrections(freqs):
-    """Each sign pair's correction, the 2x2 maps and the basis probes.
+    """Each sign pair's correction and the 2x2 maps.
 
-    probes[x, t, a, b] is basis payload |s_x gamma>'s three-mode state on
-    the frames of (T, a, b): the channel step on |alpha>|beta>, then the
-    T-a step.  Sign group (t, a) is the slice probes[:, t, a], so
-    maps[2t + a][b, x] (_SIGN_PAIRS order) must be proportional to exactly
-    one of the four undoable patterns.
+    The probe table probes[x, t, a, b] is basis payload |s_x gamma>'s
+    three-mode state on the frames of (T, a, b): the channel step on
+    |alpha>|beta>, then the T-a step.  Sign group (t, a) is the slice
+    probes[:, t, a], so maps[2t + a][b, x] (_SIGN_PAIRS order) must be
+    proportional to exactly one of the four undoable patterns; maps @ c
+    is the payload's frame tensor c[t, a, b] with (t, a) flattened.
     """
     probes = np.einsum("taxu,ub->xtab", _pi_point(freqs[1]),
                        _pi_point(freqs[0])[:, :, 0, 0])
@@ -554,7 +568,18 @@ def _derive_sign_corrections(freqs):
             raise AssertionError(
                 f"sign group {pair} component matches no correction: {mat}")
         corrections.append(best)
-    return corrections, maps, probes
+    return corrections, maps
+
+
+def _sign_effects(gamma: float, alpha: float) -> np.ndarray:
+    """effects[2t + a] = H_T^{s_t} (x) H_a^{s_a} (_SIGN_PAIRS order), with
+    H^s[i, j] = <s_i x|Theta(s X)|s_j x> at the amplitude x of T (gamma)
+    and of a (alpha): the exact effect of a sign pair on the frames."""
+    half = [[np.array([[half_line_overlap(u, v, s) for v in (x, -x)]
+                       for u in (x, -x)]) for s in (+1, -1)]
+            for x in (gamma, alpha)]
+    return np.array([np.kron(half[0][t], half[1][a])
+                     for t in (0, 1) for a in (0, 1)])
 
 
 def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
@@ -563,61 +588,26 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
                           trials: int = 1) -> ProtocolRun:
     """Run the sign-of-quadrature path.
 
-    collapse="branch" selects coherent branches by the sign of their mean
-    (valid once the sign separation is a few vacuum widths; the per-mode
-    error bound is reported), collapse="exact" computes sign
-    probabilities and fidelities from closed-form half-line overlaps, at
-    every amplitude.
+    collapse="exact" computes sign probabilities and fidelities from
+    closed-form half-line overlaps, at every amplitude.  collapse="branch"
+    takes their large-amplitude limit, selecting coherent branches by the
+    sign of their mean (valid once the sign separation is a few vacuum
+    widths; the per-mode error bound is reported), and rescales the
+    probabilities to sum to 1.
     """
     _check_inputs(alpha, beta, mode, trials)
     if collapse not in ("exact", "branch"):
         raise ValueError("collapse must be exact or branch")
-    corrections, maps, probes = _derive_sign_corrections(freqs)
-    chat = _payload_frame(target)
-    grams = _correction_grams(beta)
-    comps, weights, fids = _branch_statistics(maps, chat, grams)
-    if collapse == "branch":
-        probs = weights / weights.sum()
-        fids = [fids[k, CORRECTIONS.index(c)]
-                for k, c in enumerate(corrections)]
-    else:
-        probs, fids = _closed_form_sign_statistics(
-            np.tensordot(chat, probes, axes=1), corrections, chat, grams,
-            (target.gamma, alpha))
+    corrections, maps = _derive_sign_corrections(freqs)
+    branch = collapse == "branch"
     return _build_run(
-        "homodyne", target, alpha, beta,
+        "homodyne", target, alpha, beta, maps,
+        _BRANCH_EFFECTS if branch else _sign_effects(target.gamma, alpha),
         [(_sign_pair_label(pair), None) for pair in _SIGN_PAIRS],
-        corrections, comps, probs, fids, mode, seed, trials,
+        corrections, mode, seed, trials, renormalize=branch,
         misclassification={"T": misclassification_probability(target.gamma),
                            "A": misclassification_probability(alpha)},
         collapse=collapse, freqs=tuple(tuple(r) for r in freqs))
-
-
-def _closed_form_sign_statistics(state, corrections, chat, grams, measured):
-    """Joint sign probabilities and corrected fidelities, exactly.
-
-    ``state`` is the frame tensor c[t, a, b], ``measured`` the frame
-    amplitudes (x) of T and a, H^s[i, j] = <s_i x|Theta(s X)|s_j x> and
-    K = grams[0].  A sign pair's probability is c^H (H_T (x) H_a (x) K) c.
-    The receiver's conditional state is a mixture over quadrature
-    readings; its corrected fidelity against the ideal state (frame
-    coordinates chat) is u^H (H_T (x) H_a) u / (p chat^H K chat) with
-    u = c <chat|U|.>, U the pair's correction.
-    """
-    half = {(m, s): np.array([[half_line_overlap(u, v, s) for v in (x, -x)]
-                              for u in (x, -x)])
-            for m, x in enumerate(measured) for s in (+1, -1)}
-    phi_norm2 = np.vdot(chat, grams[0] @ chat).real
-    probs, fids = [], []
-    for (s_t, s_a), corr in zip(_SIGN_PAIRS, corrections):
-        h_t, h_a = half[0, s_t], half[1, s_a]
-        p = float(np.einsum("tab,tu,av,bc,uvc->", state.conj(), h_t, h_a,
-                            grams[0], state).real)
-        u = state @ (chat.conj() @ grams[CORRECTIONS.index(corr)])
-        f = float(np.einsum("ta,tu,av,uv->", u.conj(), h_t, h_a, u).real)
-        probs.append(p)
-        fids.append(f / (p * phi_norm2) if p > 0 else 0.0)
-    return probs, fids  # both in _SIGN_PAIRS order
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +642,8 @@ def classical_baseline(target: TargetState, alpha: float, beta: float,
     grams = _correction_grams(beta)
 
     def draw(t: TargetState, n: int) -> tuple[int, float]:
-        _, p, fmat = _branch_statistics(maps, _payload_frame(t), grams)
+        chat = _payload_frame(t)
+        p, fmat = _statistics(maps @ chat, _BRANCH_EFFECTS, chat, grams)
         cells = rng.multinomial(n, np.repeat(p / (4.0 * p.sum()), 4))
         cells = cells.reshape(fmat.shape)
         # CORRECTIONS is in LABELS order: right guesses sit on the diagonal

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from catport.algebra import (CoherentSuperposition, CoherentTerm,
-                             DegenerateStateError, DimensionMismatchError,
-                             fidelity, gram_matrix, norm, normalize, overlap,
-                             partial_overlap, tensor)
+from catport.algebra import (DEFAULT_MERGE_TOL, CoherentSuperposition,
+                             CoherentTerm, DegenerateStateError,
+                             DimensionMismatchError, fidelity, gram_matrix,
+                             norm, normalize, overlap, partial_overlap, tensor)
 
 from oracles import coherent_vec
 
@@ -256,7 +256,7 @@ class TestConsolidation:
     def test_idempotent(self):
         rng = np.random.default_rng(43)
         s = random_state(rng, 2, max_terms=8).cross_kerr_pi(0, 1)
-        again = CoherentSuperposition(s.num_modes, s.terms, s.tol)
+        again = CoherentSuperposition(s.num_modes, s.terms)
         assert again.terms == s.terms
 
     def test_invariant_no_close_pairs(self):
@@ -267,7 +267,7 @@ class TestConsolidation:
             for j in range(i + 1, len(amps)):
                 d = math.sqrt(sum(abs(x - y) ** 2
                                   for x, y in zip(amps[i], amps[j])))
-                assert d > s.tol
+                assert d > DEFAULT_MERGE_TOL
 
 
 class TestSerialization:

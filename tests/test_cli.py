@@ -93,6 +93,13 @@ class TestExitCodes:
         assert run_cli("teleport", "--config", str(cfg)) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c_a, c_b", [(1e200, 1e200), (1e-200, 0)])
+    def test_extreme_coefficients_run(self, tmp_path, capsys, c_a, c_b):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c_a": c_a, "c_b": c_b}))
+        assert run_cli("teleport", "--config", str(cfg)) == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("command, seed", [
         ("bell", "1"), ("eigen", "1"), ("sweep", "1"), ("teleport", "-1"),
     ])

@@ -36,6 +36,13 @@ class TestTargetState:
         with pytest.raises(DegenerateStateError):
             TargetState(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("coeffs, unit", [((1e200, 1e200), (1, 1)),
+                                              ((1e-200, 0.0), (1, 0))])
+    def test_normalizes_at_extreme_scales(self, coeffs, unit):
+        got, want = TargetState(*coeffs, 1.0), TargetState(*unit, 1.0)
+        assert abs(got.c_a - want.c_a) < 1e-15
+        assert abs(got.c_b - want.c_b) < 1e-15
+
     def test_physical_norm_recomputed(self):
         t = TargetState(1 / math.sqrt(2), 1 / math.sqrt(2), 0.5)
         assert norm(t.realized()) == pytest.approx(1.0, abs=1e-12)
@@ -623,7 +630,8 @@ class TestBranchMapsAgainstFullState:
     def test_table_probes_equal_symbolic_probes(self, freqs):
         # the pi-point tables hold at every amplitude: both basis payloads'
         # symbolic three-mode states read back to the same 0, +-1/2 pattern
-        _, _, probes = protocol._derive_sign_corrections(freqs)
+        _, maps = protocol._derive_sign_corrections(freqs)
+        probes = maps.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
         rng = np.random.default_rng(sum(freqs[0] + freqs[1]))
         for alpha, beta, gamma in rng.uniform(0.6, 5.0, (4, 3)):
             frame = (gamma, alpha, beta)
@@ -663,6 +671,34 @@ class TestBranchMapsAgainstFullState:
         run = run_teleport_homodyne(TargetState(0.6, 0.8j, amp), amp, amp,
                                     collapse=collapse)
         assert abs(run.probabilities().sum() - 1.0) < 1e-12
+
+
+def _half_line_closed_form(x):
+    """(H^+, H^-) on the frame {|x>, |-x>}: H^+ = [[1 - m, e/2], [e/2, m]]
+    with m the sign-error probability and e = <x|-x>, H^- = K - H^+."""
+    m, e = misclassification_probability(x), math.exp(-2.0 * x * x)
+    plus = np.array([[1.0 - m, e / 2], [e / 2, m]])
+    return plus, np.array([[1.0, e], [e, 1.0]]) - plus
+
+
+class TestSignEffects:
+    @pytest.mark.parametrize("gamma, alpha", [(0.3, 0.7), (1.0, 1.0),
+                                              (1.5, 2.5), (3.0, 0.8)])
+    def test_kronecker_of_closed_forms(self, gamma, alpha):
+        h_t, h_a = _half_line_closed_form(gamma), _half_line_closed_form(alpha)
+        want = np.array([np.kron(h_t[t], h_a[a])
+                         for t in (0, 1) for a in (0, 1)])
+        got = protocol._sign_effects(gamma, alpha)
+        assert np.max(np.abs(got - want)) < 1e-15
+
+    def test_branch_effects_are_the_large_amplitude_limit(self):
+        gaps = [np.max(np.abs(protocol._sign_effects(x, x)
+                              - protocol._BRANCH_EFFECTS))
+                for x in (1.0, 2.0, 3.0, 5.0)]
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-12
+        assert np.max(np.abs(protocol._sign_effects(5.0, 7.0)
+                             - protocol._BRANCH_EFFECTS)) < 1e-12
 
 
 class TestInitialState:
