@@ -8,9 +8,9 @@ and every inner product reduces to the single-mode Gaussian kernel
 
     <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v),
 
-so norms, overlaps, quadrature half-line elements and a closed family of
-unitaries are evaluated with no truncation error at any amplitude.  The
-unitaries that keep the representation finite are:
+so norms, overlaps and a closed family of unitaries are evaluated with
+no truncation error at any amplitude.  The unitaries that keep the
+representation finite are:
 
     displacement    D(e)|a> = exp(i Im(e conj(a))) |a+e>
     parity          P|a>    = |-a>
@@ -44,7 +44,6 @@ __all__ = [
     "gram_matrix",
     "tensor",
     "partial_overlap",
-    "half_line_overlap",
 ]
 
 #: amplitude-tuple merge tolerance; far below the overlap-kernel
@@ -71,14 +70,16 @@ def _as_complex(z) -> complex:
 
 
 def _kernel(u: complex, v: complex) -> complex:
-    """Single-mode coherent overlap <u|v>.
+    """Single-mode coherent overlap <u|v> = exp(-|u-v|^2/2 + i Im(conj(u) v)).
 
-    The real part of the exponent is -|u-v|^2/2 <= 0, so the kernel never
-    overflows; far-separated amplitudes underflow cleanly to 0.
+    Both parts of the exponent are written on the distance d = v - u
+    (Im(conj(u) v) = Im(conj(u) d)), so nearby amplitudes give a finite
+    exponent at any finite size; far-separated amplitudes underflow
+    cleanly to 0, whatever the phase.
     """
-    return cmath.exp(-0.5 * (u.real * u.real + u.imag * u.imag)
-                     - 0.5 * (v.real * v.real + v.imag * v.imag)
-                     + u.conjugate() * v)
+    d = v - u
+    return cmath.exp(complex(-0.5 * (d.real * d.real + d.imag * d.imag),
+                             (u.conjugate() * d).imag))
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class CoherentTerm:
 
 
 def _amp_distance(a: tuple[complex, ...], b: tuple[complex, ...]) -> float:
-    return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(a, b)))
+    return math.hypot(*(abs(x - y) for x, y in zip(a, b)))
 
 
 def _consolidate(terms) -> tuple[CoherentTerm, ...]:
@@ -384,22 +385,3 @@ def partial_overlap(bra: CoherentSuperposition, ket: CoherentSuperposition,
             new.append(CoherentTerm(c, tuple(tk.amps[m] for m in keep)))
     return CoherentSuperposition(len(keep), tuple(new))
 
-
-def half_line_overlap(u, v, sign: int) -> complex:
-    """<u|Theta(sign X)|v> between single-mode coherent kets, X = a + a+.
-
-    The product of the two X-wavefunctions is <u|v> times a unit-variance
-    Gaussian centred on conj(u) + v, so the half-line integral is
-    <u|v> erfc(-sign (conj(u) + v) / sqrt 2) / 2.  The stdlib erfc is
-    real, so conj(u) + v must be real; anything else raises rather than
-    being silently approximated.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    u, v = _as_complex(u), _as_complex(v)
-    centre = u.conjugate() + v
-    if abs(centre.imag) > 1e-12 * max(1.0, abs(u) + abs(v)):
-        raise ValueError(
-            f"conj(u) + v = {centre} is not real; the half-line element "
-            "needs a complex erfc")
-    return _kernel(u, v) * 0.5 * math.erfc(-sign * centre.real / math.sqrt(2))

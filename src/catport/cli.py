@@ -20,8 +20,8 @@ from .algebra import gram_matrix
 from .bell import (FREQUENCY_TABLE, LABELS, BellLabel, frequency_row,
                    generate_from_dynamics, gram_closed_form, make_quasi_bell)
 from .checks import run_checks
-from .protocol import (TargetState, classical_baseline, run_teleport_homodyne,
-                       run_teleport_ideal)
+from .protocol import (MAX_TRIALS, TargetState, classical_baseline,
+                       run_teleport_homodyne, run_teleport_ideal)
 from .reports import (EIGEN_SWEEP_COLUMNS, FIDELITY_SWEEP_COLUMNS,
                       RESULT_COLUMNS, rows_to_csv, run_to_json_doc,
                       run_to_rows, sweep_eigen_rows, sweep_fidelity_rows)
@@ -120,16 +120,18 @@ def _complex_field(x) -> complex:
     return complex(_finite(x))
 
 
-def _pos_int(x) -> int:
-    if _finite(x) != int(x) or x < 1:
-        raise ValueError(f"{x} is not a positive integer")
-    return int(x)
+def _int_field(low: int):
+    def check(x) -> int:
+        # compared as ints: through a float, 2**63 - 1 would read as 2**63
+        _finite(x)
+        value = int(x)
+        if value != x or not low <= value <= MAX_TRIALS:
+            raise ValueError(f"{x!r} is not an integer in [{low}, 2**63 - 1]")
+        return value
+    return check
 
 
-def _nonneg_int(x) -> int:
-    if _finite(x) != int(x) or x < 0:
-        raise ValueError(f"{x} is not a nonnegative integer")
-    return int(x)
+_pos_int, _nonneg_int = _int_field(1), _int_field(0)
 
 
 def _choice(*allowed):

@@ -234,9 +234,8 @@ def half_line_projector(dim: int, sign: int) -> np.ndarray:
     Built from the eigendecomposition of the truncated X, so P^2 = P,
     P+ + P- = I and Hermiticity hold to machine precision.  The half-line
     *mass* it assigns converges only ~O(1/dim) toward the continuum
-    Gaussian integral that ``algebra.half_line_overlap`` gives in closed
-    form.  A zero eigenvalue (odd dim only) is assigned to the positive
-    side.
+    Gaussian integral, an erfc in closed form.  A zero eigenvalue (odd dim
+    only) is assigned to the positive side.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")

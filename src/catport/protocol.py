@@ -14,51 +14,48 @@ modes (a, T) at (alpha, gamma) with the four receiver-side components
     Psi+ : c_a|beta> - c_b|-beta>        -> i D(mu)
     Psi- : c_a|-beta> - c_b|beta>        -> i P D(mu),   mu beta = pi/2.
 
-The Bell measurement is realized as the symmetric orthogonalization of
-the non-orthogonal quadruple (the closest orthonormal set), plus an
-explicit inconclusive remainder whose weight is reported, never silently
-renormalized.  The parity corrections are exact at every amplitude; the
-displacement corrections restore the component magnitudes up to a
-e^{-|mu|^2/2} overlap factor; they do not repair the relative phase of
-a two-component payload, so the canonical probe for fidelity scaling
-is c_a=1, c_b=0.
+The Bell measurement is the symmetric orthogonalization of the
+quadruple (the closest orthonormal set).  The parity corrections are
+exact at every amplitude; the displacement corrections restore the
+component magnitudes up to a e^{-|mu|^2/2} overlap factor; they do not
+repair the relative phase of a two-component payload, so the canonical
+probe for fidelity scaling is c_a=1, c_b=0.
 
 Homodyne path: entangling T with a by a second pi-point interaction
 turns the Bell measurement into two sign-of-quadrature readings; the
 sign pair selects the same four corrections.  Collapse is computed
 either per coherent branch (error bounded by the reported Gaussian
-sign-error 1/2 erfc(sqrt(2) amp)) or exactly, at every amplitude, from
-the closed-form half-line overlaps <u|Theta(+-X)|v> of coherent states.
+sign-error 1/2 erfc(sqrt(2) amp)) or exactly, at every amplitude.
 
-Both paths are payload-linear: outcome k leaves the receiver M_k c in
-the frame {|beta>, |-beta>}, with c = (c_a, c_b)/N the realized payload
-on {|gamma>, |-gamma>}, and the baseline reuses the maps for all its
-payloads.  The maps come from frame tables, not from symbolic states:
-the ideal path contracts the quadruple's sign table (bell.FRAME_COEFFS)
-with the 2x2 frame Gram matrices [[1, e^{-2x^2}], [e^{-2x^2}, 1]], and
-the homodyne path composes two pi-point steps, each a fixed +-1/2 table
-on the frames, into the probe table of both basis payloads.  One kernel
-turns the receiver components into weights and every correction's
-fidelity as 2x2 forms in c, given each outcome's effect on the measured
-frames: for the exact collapse, the Kronecker product of the measured
-modes' half-line matrices <s_i x|Theta(s X)|s_j x>; for the branch
-readout and the ideal path, its large-amplitude limit, the projector on
-one frame index.
+Runs work on bell.make_cat's cats |x_+-> = (|x> +- |-x>)/2, orthogonal
+with Gram matrix diag(1 + e, 1 - e)/2, e = e^{-2x^2}; the frame
+{|x>, |-x>} maps to them by S = [[1, 1], [1, -1]].  There the protocol
+is a two-qubit sign circuit at every amplitude: the channel is S, the
+orthogonalized quadruple is the fixed orthonormal set S FRAME_COEFFS S/2
+on the normalized cats, a pi-point step with row (w1, w2) is
+Z^w1 (x) Z^w2 CZ, a sign reading takes its mode to the frame by the row
+S/2, and parity is Z.  Each outcome leaves the receiver a 2x2 map of the
+payload; one kernel turns the maps into weights and every correction's
+fidelity, given each outcome's effect on the measured modes: the
+projector on one outcome index for the Bell measurement and the branch
+readout, and for the exact collapse the Kronecker product of the
+half-line matrices <s_i x|Theta(s X)|s_j x>, [[1 - m, e/2], [e/2, m]]
+for s = + with m the sign-error probability.  The Bell measurement and
+the exact collapse are both complete on the payload's span, so a run's
+inconclusive_rate is the rounding defect max(0, 1 - sum p).
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (CoherentSuperposition, DegenerateStateError,
-                      half_line_overlap, norm, normalize, overlap,
-                      partial_overlap, tensor)
+from .algebra import (CoherentSuperposition, DegenerateStateError, _kernel,
+                      norm, normalize, overlap, partial_overlap, tensor)
 from .bell import (FRAME_COEFFS, LABELS, BellLabel, QuasiBellSet,
                    frequency_row, generate_from_dynamics, make_quasi_bell,
                    measurement_bits)
@@ -86,6 +83,9 @@ GRAM_CONDITION_LIMIT = 1e12
 #: default frequency rows (units of the coupling) for the two entangling
 #: steps of the homodyne path: channel a-b, then T-a
 DEFAULT_FREQS = ((2, 2), (2, 2))
+
+#: numpy's multinomial takes counts up to 2**63 - 1
+MAX_TRIALS = 2 ** 63 - 1
 
 
 class DegenerateBasisError(ValueError):
@@ -181,24 +181,6 @@ def apply_correction(bob: CoherentSuperposition, label: CorrectionLabel,
 # Bell measurement as a POVM
 # ---------------------------------------------------------------------------
 
-def _lowdin(gram: np.ndarray):
-    """G^{-1/2} and the condition number of the quadruple's Gram matrix.
-
-    Raises:
-        DegenerateBasisError: G is not positive definite, or its condition
-            number exceeds GRAM_CONDITION_LIMIT.
-    """
-    w, u = np.linalg.eigh(gram)
-    if w[0] <= 0.0:
-        raise DegenerateBasisError(
-            "Gram matrix is not positive definite (amplitudes too small)")
-    cond = float(w[-1] / w[0])
-    if cond > GRAM_CONDITION_LIMIT:
-        raise DegenerateBasisError(f"Gram condition number {cond:.3g} "
-                                   f"exceeds {GRAM_CONDITION_LIMIT:.0e}")
-    return (u * (w ** -0.5)) @ u.conj().T, cond
-
-
 @dataclass(frozen=True)
 class LowdinMeasurement:
     """Symmetric orthogonalization of the quadruple, plus a remainder effect.
@@ -217,7 +199,21 @@ class LowdinMeasurement:
 
     @classmethod
     def from_set(cls, qset: QuasiBellSet) -> "LowdinMeasurement":
-        inv_sqrt, cond = _lowdin(qset.gram)
+        """G^{-1/2} from the eigendecomposition of the quadruple's Gram G.
+
+        Raises:
+            DegenerateBasisError: G is not positive definite, or its
+                condition number exceeds GRAM_CONDITION_LIMIT.
+        """
+        w, u = np.linalg.eigh(qset.gram)
+        if w[0] <= 0.0:
+            raise DegenerateBasisError(
+                "Gram matrix is not positive definite (amplitudes too small)")
+        cond = float(w[-1] / w[0])
+        if cond > GRAM_CONDITION_LIMIT:
+            raise DegenerateBasisError(f"Gram condition number {cond:.3g} "
+                                       f"exceeds {GRAM_CONDITION_LIMIT:.0e}")
+        inv_sqrt = (u * (w ** -0.5)) @ u.conj().T
         basis = qset.ordered_states()
         vectors = []
         for k in range(4):
@@ -244,36 +240,51 @@ def initial_state(target: TargetState, alpha: float,
                   make_quasi_bell(BellLabel.PHI_PLUS, alpha, beta))
 
 
-def _frame_gram(x: float) -> np.ndarray:
-    """K[i, j] = <s_i x|s_j x> on the frame {|x>, |-x>}, s = (+1, -1)."""
-    e = math.exp(-2.0 * x * x)
-    return np.array([[1.0, e], [e, 1.0]])
+# ---------------------------------------------------------------------------
+# Cat coordinates
+# ---------------------------------------------------------------------------
+
+#: the frame-to-cat map: c_a|x> + c_b|-x> = sum_i (S c)_i |x_i>, with
+#: |x_0> and |x_1> the even and odd cats; S^2 = 2, so S/2 maps back
+_S = np.array([[1.0, 1.0], [1.0, -1.0]])
+_S.setflags(write=False)
+
+#: the Lowdin-orthogonalized quadruple on the normalized cats of (a, T):
+#: W_k = S FRAME_COEFFS[k] S / 2, orthonormal and the same at every
+#: amplitude, because the cats diagonalize both frame Gram matrices
+_BELL_CATS = _S @ FRAME_COEFFS @ _S / 2
+_BELL_CATS.setflags(write=False)
 
 
-def _payload_frame(target: TargetState) -> np.ndarray:
-    """c / sqrt(c^H K_gamma c), c = (c_a, c_b): the realized payload on the
-    frame {|gamma>, |-gamma>}."""
-    c = np.array([target.c_a, target.c_b])
-    norm2 = np.vdot(c, _frame_gram(target.gamma) @ c).real
+def _cat_norms2(x: float) -> np.ndarray:
+    """<x_+|x_+>, <x_-|x_->: (1 + e, 1 - e)/2 with e = e^{-2x^2}."""
+    return np.array([1.0 + math.exp(-2.0 * x * x),
+                     -math.expm1(-2.0 * x * x)]) / 2.0
+
+
+def _payload(target: TargetState) -> np.ndarray:
+    """The realized payload's cat coordinates: S c, normalized."""
+    chat = _S @ np.array([target.c_a, target.c_b])
+    norm2 = float(_cat_norms2(target.gamma) @ np.abs(chat) ** 2)
     if not norm2 > 0.0:
         raise DegenerateStateError("cannot normalize a zero-norm state")
-    return c / math.sqrt(norm2)
+    return chat / math.sqrt(norm2)
 
 
-def _quadruple_reading(alpha: float, beta: float, gamma: float):
-    """The quadruple's Gram G on (a, T) at (alpha, gamma), and R.
+def _check_gram(alpha: float, gamma: float) -> float:
+    """The quadruple's Gram condition number on (a, T), exact: its
+    eigenvalues are (1 +- e_alpha)(1 +- e_gamma).
 
-    R[j, x, r] is the |s_r beta> coordinate of <B_j|_{aT} |s_x gamma>_T
-    |Phi+>_{ab}, the channel at (alpha, beta), with s = (+1, -1).  Both
-    contract the real sign table FRAME_COEFFS with the frame kernels
-    K[i, j] = <s_i x|s_j x> of x = alpha and gamma.
+    Raises:
+        DegenerateBasisError: the condition number exceeds
+            GRAM_CONDITION_LIMIT.
     """
-    k_a, k_g = _frame_gram(alpha), _frame_gram(gamma)
-    gram = np.einsum("jst,su,tv,kuv->jk", FRAME_COEFFS, k_a, k_g,
-                     FRAME_COEFFS)
-    reading = np.einsum("jst,su,tx,ur->jxr", FRAME_COEFFS, k_a, k_g,
-                        FRAME_COEFFS[0])
-    return gram, reading
+    (pa, ma), (pg, mg) = 2.0 * _cat_norms2(alpha), 2.0 * _cat_norms2(gamma)
+    cond = pa * pg / (ma * mg) if ma * mg > 0.0 else math.inf
+    if cond > GRAM_CONDITION_LIMIT:
+        raise DegenerateBasisError(f"Gram condition number {cond:.3g} "
+                                   f"exceeds {GRAM_CONDITION_LIMIT:.0e}")
+    return cond
 
 
 def expand_initial(target: TargetState, alpha: float, beta: float):
@@ -288,10 +299,11 @@ def expand_initial(target: TargetState, alpha: float, beta: float):
         DegenerateBasisError: measurement Gram too ill-conditioned.
     """
     _check_inputs(alpha, beta)
-    gram, reading = _quadruple_reading(alpha, beta, target.gamma)
-    _lowdin(gram)  # the measurement's degeneracy checks
-    chat = _payload_frame(target)
-    coords = np.linalg.solve(gram, np.einsum("jxr,x->jr", reading, chat))
+    _check_gram(alpha, target.gamma)
+    # the joint state's (a, T) frame coefficients split over the
+    # quadruple's sign tables, which are orthonormal: project on them
+    coords = np.einsum("kat,t,ar->kr", FRAME_COEFFS,
+                       _S @ _payload(target) / 2, FRAME_COEFFS[0])
     out = []
     diff = initial_state(target, alpha, beta)
     for lab, (cb, cmb) in zip(LABELS, coords):
@@ -311,31 +323,36 @@ def expand_initial(target: TargetState, alpha: float, beta: float):
 # Payload-linear branch maps
 # ---------------------------------------------------------------------------
 
-def _ideal_maps(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Bell outcome -> 2x2 map, from the orthogonalized measurement.
+def _ideal_maps(alpha: float, gamma: float) -> np.ndarray:
+    """maps[k][b, t]: receiver cat b per payload cat t under Bell outcome k.
 
-    <w_k| = sum_j conj(G^{-1/2})_{jk} <B_j|, so maps[k][r, x] is that sum
-    over the quadruple reading R[j, x, r].
+    <w_k| reads the normalized cats of (a, T), which the unnormalized
+    cats of the channel (the table S on (a, b)) and of the payload meet
+    with their norms n = sqrt(diag G).
     """
-    gram, reading = _quadruple_reading(alpha, beta, gamma)
-    inv_sqrt, _ = _lowdin(gram)
-    return np.einsum("jk,jxr->krx", inv_sqrt.conj(), reading)
+    _check_gram(alpha, gamma)
+    n_a, n_g = np.sqrt(_cat_norms2(alpha)), np.sqrt(_cat_norms2(gamma))
+    return np.einsum("kat,a,t,ab->kbt", _BELL_CATS, n_a, n_g, _S)
 
 
 def _correction_grams(beta: float) -> np.ndarray:
-    """C[c, i, j] = <e_i|U_c|e_j> over the frame e = (|beta>, |-beta>).
+    """C[c, i, j] = <beta_i|U_c|beta_j> on the cats, U_c over CORRECTIONS.
 
-    U_c runs over CORRECTIONS, so C[0] is the frame Gram.
+    Parity is Z on the cats, so C = [G, ZG, D', ZD'] with G the cats'
+    Gram matrix and D' = (i/4) S F S, where F[i, j] = <s_i beta|D(mu)|
+    s_j beta> is the Weyl phase times a coherent overlap on the frame.
     """
-    frame = (CoherentSuperposition.coherent([beta]),
-             CoherentSuperposition.coherent([-beta]))
-    moved = [[apply_correction(e, c, beta) for e in frame]
-             for c in CORRECTIONS]
-    return np.array([[[overlap(ei, mj) for mj in m] for ei in frame]
-                     for m in moved])
+    mu = correction_mu(beta)
+    frame = (complex(beta), complex(-beta))
+    f = np.array([[cmath.exp(1j * (mu * v).imag) * _kernel(u, v + mu)
+                   for v in frame] for u in frame])
+    disp = 0.25j * _S @ f @ _S
+    gram, z = np.diag(_cat_norms2(beta)), np.diag([1.0, -1.0])
+    return np.array([gram, z @ gram, disp, z @ disp])
 
 
-#: the branch readout: outcome k keeps measured frame index k alone
+#: the Bell measurement and the branch readout: outcome k keeps measured
+#: index k alone
 _BRANCH_EFFECTS = np.einsum("km,kn->kmn", np.eye(4), np.eye(4))
 
 
@@ -343,11 +360,11 @@ def _statistics(comps: np.ndarray, effects: np.ndarray, chat: np.ndarray,
                 grams: np.ndarray):
     """Outcome probabilities p[k] and fidelities f[k, c] under correction c.
 
-    comps[m] is the receiver's frame coordinates on measured frame index
-    m, effects[k, m, n] outcome k's effect on the measured frames and
+    comps[m] is the receiver's cat coordinates on measured index m,
+    effects[k, m, n] outcome k's effect on the measured modes and
     G = grams[0], so p_k = sum_mn comps[m]^H effects[k, m, n] G comps[n].
     The receiver's conditional state is a mixture over the readings; its
-    fidelity after correction c against the ideal state (frame coordinates
+    fidelity after correction c against the ideal state (cat coordinates
     proportional to chat) is u^H effects[k] u / (p_k chat^H G chat) with
     u[m] = chat^H C_c comps[m], C_c = grams[c] (see _correction_grams).
     """
@@ -358,6 +375,15 @@ def _statistics(comps: np.ndarray, effects: np.ndarray, chat: np.ndarray,
     scale = np.vdot(chat, grams[0] @ chat).real * probs[:, None]
     fids = np.divide(num, scale, out=np.zeros(num.shape), where=scale > 0)
     return probs, fids
+
+
+def _multinomial(rng, n: int, weights) -> np.ndarray:
+    """rng.multinomial(n, weights / sum) with the weights first put on a
+    2^-40 grid, so that cells equal up to rounding stay exactly equal and
+    a last-bit change in the weights does not re-draw the sample."""
+    grid = np.ldexp(np.rint(np.ldexp(np.asarray(weights, dtype=float), 40)),
+                    -40)
+    return rng.multinomial(n, grid / grid.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +447,8 @@ def _check_inputs(alpha: float, beta: float, mode: str = "enumerate",
         raise ValueError("alpha and beta must be positive and finite")
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be 'enumerate' or 'sample'")
-    if mode == "sample" and trials < 1:
-        raise ValueError("trials must be >= 1")
+    if mode == "sample" and not 1 <= trials <= MAX_TRIALS:
+        raise ValueError("trials must be in [1, 2**63)")
 
 
 def _build_run(path: str, target: TargetState, alpha: float, beta: float,
@@ -432,7 +458,7 @@ def _build_run(path: str, target: TargetState, alpha: float, beta: float,
     """A run from the 2x2 maps, the outcome effects (see _statistics), the
     per-branch (label, eigen_bits) outcomes and corrections; renormalize
     rescales the probabilities to sum to 1."""
-    chat = _payload_frame(target)
+    chat = _payload(target)
     comps = maps @ chat
     probs, fids = _statistics(comps, effects, chat, _correction_grams(beta))
     if renormalize:
@@ -441,8 +467,9 @@ def _build_run(path: str, target: TargetState, alpha: float, beta: float,
     fids = [float(fids[k, CORRECTIONS.index(c)])
             for k, c in enumerate(corrections)]
     branches = []
-    for (label, bits), corr, v, p, f in zip(outcomes, corrections, comps,
-                                            probs, fids):
+    # the records hold the receiver's frame coordinates S v / 2
+    for (label, bits), corr, v, p, f in zip(outcomes, corrections,
+                                            comps @ _S / 2, probs, fids):
         raw = CoherentSuperposition(1, ((v[0], (beta,)), (v[1], (-beta,))))
         nonzero = norm(raw) > 0
         bob = normalize(raw) if nonzero else raw
@@ -451,9 +478,8 @@ def _build_run(path: str, target: TargetState, alpha: float, beta: float,
         branches.append(ProtocolResult(outcome, corr, after, f))
     counts = None
     if mode == "sample":
-        p = np.array(probs)
         rng = np.random.default_rng(seed)
-        counts = tuple(int(c) for c in rng.multinomial(trials, p / p.sum()))
+        counts = tuple(int(c) for c in _multinomial(rng, trials, probs))
     return ProtocolRun(
         path=path, alpha=alpha, beta=beta, gamma=target.gamma,
         c_a=target.c_a, c_b=target.c_b, branches=tuple(branches),
@@ -476,8 +502,8 @@ def run_teleport_ideal(target: TargetState, alpha: float, beta: float,
     """
     _check_inputs(alpha, beta, mode, trials)
     return _build_run(
-        "ideal", target, alpha, beta,
-        _ideal_maps(alpha, beta, target.gamma), _BRANCH_EFFECTS,
+        "ideal", target, alpha, beta, _ideal_maps(alpha, target.gamma),
+        _BRANCH_EFFECTS,
         [(lab.value, measurement_bits(lab)) for lab in LABELS], CORRECTIONS,
         mode, seed, trials)
 
@@ -496,20 +522,8 @@ def misclassification_probability(amplitude: float) -> float:
     return 0.5 * math.erfc(math.sqrt(2.0) * abs(amplitude))
 
 
-_SIGN_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
-
-#: receiver-component patterns in the frame {|beta>, |-beta>}, as 2x2
-#: maps acting on (c_a, c_b); each pattern is undone by its correction
-_COMPONENT_PATTERNS = {
-    CorrectionLabel.IDENTITY: np.array([[1, 0], [0, 1]], dtype=complex),
-    CorrectionLabel.PARITY: np.array([[0, 1], [1, 0]], dtype=complex),
-    CorrectionLabel.DISP: np.array([[1, 0], [0, -1]], dtype=complex),
-    CorrectionLabel.PARITY_DISP: np.array([[0, -1], [1, 0]], dtype=complex),
-}
-
-
-def _sign_pair_label(pair) -> str:
-    return f"T{'+' if pair[0] > 0 else '-'}A{'+' if pair[1] > 0 else '-'}"
+#: sign pair 2t + a, bit 1 for a minus sign
+_SIGN_LABELS = ("T+A+", "T+A-", "T-A+", "T-A-")
 
 
 def three_mode_state(target: TargetState, alpha: float, beta: float,
@@ -527,59 +541,37 @@ def three_mode_state(target: TargetState, alpha: float, beta: float,
             .cross_kerr_pi(0, 1))
 
 
-def _pi_point(row) -> np.ndarray:
-    """Frame form of one pi-point step on two modes, at every amplitude.
+def _homodyne_maps(freqs):
+    """Each sign pair's correction and maps[2t + a][b, x], receiver cat b
+    per payload cat x on sign pair (t, a), bit 1 for a minus sign.
 
-    |s_x X>|s_u Y> goes to sum_ij out[i, j, x, u] |s_i X>|s_j Y>: a free
-    rotation by pi w flips a frame index when w is odd, and the cross-Kerr
-    step weighs flips p, q by 1/2 (-1)^(pq), the algebra's four-term rule.
+    |alpha>|beta> is all ones on the cats.  With w the channel row and v
+    the T-a row mod 2, pair (t, a) leaves Z^p X^d on the payload, with
+    p = t^v1^w2 and d = a^w1^v2: parity undoes Z, the displacement X.
     """
-    w1, w2 = (w % 2 for w in frequency_row(row))
-    out = np.zeros((2, 2, 2, 2))
-    for x, u, p, q in itertools.product((0, 1), repeat=4):
-        out[x ^ w1 ^ p, u ^ w2 ^ q, x, u] = 0.5 * (-1) ** (p * q)
-    return out
-
-
-def _derive_sign_corrections(freqs):
-    """Each sign pair's correction and the 2x2 maps.
-
-    The probe table probes[x, t, a, b] is basis payload |s_x gamma>'s
-    three-mode state on the frames of (T, a, b): the channel step on
-    |alpha>|beta>, then the T-a step.  Sign group (t, a) is the slice
-    probes[:, t, a], so maps[2t + a][b, x] (_SIGN_PAIRS order) must be
-    proportional to exactly one of the four undoable patterns; maps @ c
-    is the payload's frame tensor c[t, a, b] with (t, a) flattened.
-    """
-    probes = np.einsum("taxu,ub->xtab", _pi_point(freqs[1]),
-                       _pi_point(freqs[0])[:, :, 0, 0])
-    maps = probes.transpose(1, 2, 3, 0).reshape(4, 2, 2)
-    corrections = []
-    for pair, mat in zip(_SIGN_PAIRS, maps):
-        best = None
-        for corr, pat in _COMPONENT_PATTERNS.items():
-            lam = np.vdot(pat, mat) / np.vdot(pat, pat)
-            resid = np.linalg.norm(mat - lam * pat) / np.linalg.norm(mat)
-            if resid < 1e-9:
-                if best is not None:
-                    raise AssertionError(f"ambiguous component pattern {mat}")
-                best = corr
-        if best is None:
-            raise AssertionError(
-                f"sign group {pair} component matches no correction: {mat}")
-        corrections.append(best)
+    (w1, w2), (v1, v2) = ([w % 2 for w in frequency_row(row)]
+                          for row in freqs)
+    i, j = np.arange(2)[:, None], np.arange(2)
+    channel = (-1.0) ** (i * w1 + j * w2 + i * j)
+    entangler = (-1.0) ** (i * v1 + j * v2 + i * j)
+    maps = np.einsum("tx,ai,xi,ib->tabx", _S / 2, _S / 2, entangler,
+                     channel).reshape(4, 2, 2)
+    corrections = [CORRECTIONS[(t ^ v1 ^ w2) + 2 * (a ^ w1 ^ v2)]
+                   for t in (0, 1) for a in (0, 1)]
     return corrections, maps
 
 
 def _sign_effects(gamma: float, alpha: float) -> np.ndarray:
-    """effects[2t + a] = H_T^{s_t} (x) H_a^{s_a} (_SIGN_PAIRS order), with
-    H^s[i, j] = <s_i x|Theta(s X)|s_j x> at the amplitude x of T (gamma)
-    and of a (alpha): the exact effect of a sign pair on the frames."""
-    half = [[np.array([[half_line_overlap(u, v, s) for v in (x, -x)]
-                       for u in (x, -x)]) for s in (+1, -1)]
-            for x in (gamma, alpha)]
-    return np.array([np.kron(half[0][t], half[1][a])
-                     for t in (0, 1) for a in (0, 1)])
+    """effects[2t + a] = H_T^{s_t} (x) H_a^{s_a} (_SIGN_LABELS order): the
+    exact effect of a sign pair on the frames of T (at gamma) and a (at
+    alpha), with H^+ = [[1 - m, e/2], [e/2, m]] and H^- = K - H^+, m the
+    sign-error probability, e = <x|-x> and K the frame Gram matrix."""
+    half = []
+    for x in (gamma, alpha):
+        m, e = misclassification_probability(x), math.exp(-2.0 * x * x)
+        plus = np.array([[1.0 - m, e / 2], [e / 2, m]])
+        half.append((plus, np.array([[1.0, e], [e, 1.0]]) - plus))
+    return np.array([np.kron(h_t, h_a) for h_t in half[0] for h_a in half[1]])
 
 
 def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
@@ -588,8 +580,8 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
                           trials: int = 1) -> ProtocolRun:
     """Run the sign-of-quadrature path.
 
-    collapse="exact" computes sign probabilities and fidelities from
-    closed-form half-line overlaps, at every amplitude.  collapse="branch"
+    collapse="exact" computes sign probabilities and fidelities from the
+    closed-form half-line effects, at every amplitude.  collapse="branch"
     takes their large-amplitude limit, selecting coherent branches by the
     sign of their mean (valid once the sign separation is a few vacuum
     widths; the per-mode error bound is reported), and rescales the
@@ -598,12 +590,12 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
     _check_inputs(alpha, beta, mode, trials)
     if collapse not in ("exact", "branch"):
         raise ValueError("collapse must be exact or branch")
-    corrections, maps = _derive_sign_corrections(freqs)
+    corrections, maps = _homodyne_maps(freqs)
     branch = collapse == "branch"
     return _build_run(
         "homodyne", target, alpha, beta, maps,
         _BRANCH_EFFECTS if branch else _sign_effects(target.gamma, alpha),
-        [(_sign_pair_label(pair), None) for pair in _SIGN_PAIRS],
+        [(label, None) for label in _SIGN_LABELS],
         corrections, mode, seed, trials, renormalize=branch,
         misclassification={"T": misclassification_probability(target.gamma),
                            "A": misclassification_probability(alpha)},
@@ -638,14 +630,13 @@ def classical_baseline(target: TargetState, alpha: float, beta: float,
     """
     _check_inputs(alpha, beta, "sample", trials)
     rng = np.random.default_rng(seed)
-    maps = _ideal_maps(alpha, beta, target.gamma)
+    maps = _ideal_maps(alpha, target.gamma)
     grams = _correction_grams(beta)
 
     def draw(t: TargetState, n: int) -> tuple[int, float]:
-        chat = _payload_frame(t)
+        chat = _payload(t)
         p, fmat = _statistics(maps @ chat, _BRANCH_EFFECTS, chat, grams)
-        cells = rng.multinomial(n, np.repeat(p / (4.0 * p.sum()), 4))
-        cells = cells.reshape(fmat.shape)
+        cells = _multinomial(rng, n, np.repeat(p, 4)).reshape(fmat.shape)
         # CORRECTIONS is in LABELS order: right guesses sit on the diagonal
         return int(np.trace(cells)), float(np.sum(cells * fmat))
 

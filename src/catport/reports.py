@@ -42,9 +42,7 @@ def _fmt(value) -> str:
     """Deterministic cell rendering; floats use shortest round-trip repr."""
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 

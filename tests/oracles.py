@@ -7,12 +7,18 @@ not erfc) and the whole measurement pipeline are re-derived
 independently, so that every dual-route assertion really has two routes.
 The exceptions check frame reductions, not the kernels, so they work
 on the algebra's symbolic states: ``frame_tensor`` reads a state back
-into frame coefficients, and ``term_pair_sign_statistics`` reuses the
-algebra's kernels on the full symbolic three-mode state.
+into frame coefficients, ``term_pair_sign_statistics`` reuses the
+algebra's kernels on the full symbolic three-mode state, and the frame
+route below rebuilds the protocol's tables on the coherent frames
+{|x>, |-x>} the way the package did before it moved to cat coordinates:
+an eigendecomposition Lowdin map, pi-point tables read by a pattern
+match, and correction Grams from symbolic states.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 
 import mpmath
@@ -114,6 +120,27 @@ def half_line_element_quad(u: complex, v: complex, sign: int) -> complex:
         return complex(half)
 
 
+def half_line_overlap(u, v, sign: int) -> complex:
+    """<u|Theta(sign X)|v> between single-mode coherent kets, X = a + a+.
+
+    The product of the two X-wavefunctions is <u|v> times a unit-variance
+    Gaussian centred on conj(u) + v, so the half-line integral is
+    <u|v> erfc(-sign (conj(u) + v) / sqrt 2) / 2.  The stdlib erfc is
+    real, so conj(u) + v must be real; anything else raises rather than
+    being silently approximated.
+    """
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    u, v = complex(u), complex(v)
+    centre = u.conjugate() + v
+    if abs(centre.imag) > 1e-12 * max(1.0, abs(u) + abs(v)):
+        raise ValueError(
+            f"conj(u) + v = {centre} is not real; the half-line element "
+            "needs a complex erfc")
+    kernel = cmath.exp(-abs(u) ** 2 / 2 - abs(v) ** 2 / 2 + u.conjugate() * v)
+    return kernel * 0.5 * math.erfc(-sign * centre.real / math.sqrt(2))
+
+
 def cat_vec(dim: int, lam: complex, sign: int) -> np.ndarray:
     return 0.5 * (coherent_vec(dim, lam) + sign * coherent_vec(dim, -lam))
 
@@ -213,8 +240,7 @@ def term_pair_sign_statistics(state, mapping, ideal, beta):
     ``mapping`` takes a sign pair to its correction; both returned lists
     are in (++, +-, -+, --) order.
     """
-    from catport.algebra import (CoherentSuperposition, gram_matrix,
-                                 half_line_overlap, overlap)
+    from catport.algebra import CoherentSuperposition, gram_matrix, overlap
     from catport.protocol import apply_correction
 
     terms = state.terms
@@ -234,3 +260,111 @@ def term_pair_sign_statistics(state, mapping, ideal, beta):
         probs.append(p)
         fids.append(f / p if p > 0 else 0.0)
     return probs, fids
+
+
+# -- the frame route ---------------------------------------------------------
+# Everything below works on the frame {|x>, |-x>} of each mode.  A map
+# M_frame relates to the package's cat-coordinate map M_cat by
+# M_frame = (S/2) M_cat S, and a correction Gram by C_cat = (S/2) C S/2,
+# with S = [[1, 1], [1, -1]].
+
+FRAME_TO_CAT = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def frame_gram(x: float) -> np.ndarray:
+    """K[i, j] = <s_i x|s_j x> on the frame, s = (+1, -1)."""
+    e = math.exp(-2.0 * x * x)
+    return np.array([[1.0, e], [e, 1.0]])
+
+
+def frame_ideal_maps(alpha: float, beta: float, gamma: float):
+    """The ideal path on the frames: (maps, Gram condition number).
+
+    The quadruple's Gram G and reading R contract the sign table with the
+    frame Grams; the Lowdin map is G^{-1/2} by eigendecomposition, and
+    maps[k][r, x] = sum_j conj(G^{-1/2})_{jk} R[j, x, r].
+    """
+    from catport.bell import FRAME_COEFFS
+
+    k_a, k_g = frame_gram(alpha), frame_gram(gamma)
+    gram = np.einsum("jst,su,tv,kuv->jk", FRAME_COEFFS, k_a, k_g,
+                     FRAME_COEFFS)
+    reading = np.einsum("jst,su,tx,ur->jxr", FRAME_COEFFS, k_a, k_g,
+                        FRAME_COEFFS[0])
+    w, u = np.linalg.eigh(gram)
+    inv_sqrt = (u * w ** -0.5) @ u.conj().T
+    return (np.einsum("jk,jxr->krx", inv_sqrt.conj(), reading),
+            float(w[-1] / w[0]))
+
+
+def pi_point(row) -> np.ndarray:
+    """One pi-point step on the frames of two modes.
+
+    |s_x X>|s_u Y> goes to sum_ij out[i, j, x, u] |s_i X>|s_j Y>: a free
+    rotation by pi w flips a frame index when w is odd, and the cross-Kerr
+    step weighs flips p, q by 1/2 (-1)^(pq), the algebra's four-term rule.
+    """
+    from catport.bell import frequency_row
+
+    w1, w2 = (w % 2 for w in frequency_row(row))
+    out = np.zeros((2, 2, 2, 2))
+    for x, u, p, q in itertools.product((0, 1), repeat=4):
+        out[x ^ w1 ^ p, u ^ w2 ^ q, x, u] = 0.5 * (-1) ** (p * q)
+    return out
+
+
+def frame_sign_corrections(freqs):
+    """Each sign pair's correction and its frame map, by pattern match.
+
+    The probe table probes[x, t, a, b] is basis payload |s_x gamma>'s
+    three-mode state on the frames of (T, a, b).  Sign group (t, a) is
+    the slice probes[:, t, a], so maps[2t + a][b, x] must be proportional
+    to exactly one of the four patterns its correction undoes.
+    """
+    from catport.protocol import CorrectionLabel
+
+    patterns = {
+        CorrectionLabel.IDENTITY: np.array([[1, 0], [0, 1]], dtype=complex),
+        CorrectionLabel.PARITY: np.array([[0, 1], [1, 0]], dtype=complex),
+        CorrectionLabel.DISP: np.array([[1, 0], [0, -1]], dtype=complex),
+        CorrectionLabel.PARITY_DISP: np.array([[0, -1], [1, 0]],
+                                              dtype=complex),
+    }
+    probes = np.einsum("taxu,ub->xtab", pi_point(freqs[1]),
+                       pi_point(freqs[0])[:, :, 0, 0])
+    maps = probes.transpose(1, 2, 3, 0).reshape(4, 2, 2)
+    corrections = []
+    for mat in maps:
+        found = []
+        for corr, pat in patterns.items():
+            lam = np.vdot(pat, mat) / np.vdot(pat, pat)
+            if np.linalg.norm(mat - lam * pat) < 1e-9 * np.linalg.norm(mat):
+                found.append(corr)
+        if len(found) != 1:
+            raise AssertionError(f"sign group {mat} matches {found}")
+        corrections.append(found[0])
+    return corrections, maps
+
+
+def frame_correction_grams(beta: float) -> np.ndarray:
+    """C[c, i, j] = <e_i|U_c|e_j> from symbolic states on the frame
+    e = (|beta>, |-beta>), U_c over the package's CORRECTIONS."""
+    from catport.algebra import CoherentSuperposition, overlap
+    from catport.protocol import CORRECTIONS, apply_correction
+
+    frame = (CoherentSuperposition.coherent([beta]),
+             CoherentSuperposition.coherent([-beta]))
+    moved = [[apply_correction(e, c, beta) for e in frame]
+             for c in CORRECTIONS]
+    return np.array([[[overlap(ei, mj) for mj in m] for ei in frame]
+                     for m in moved])
+
+
+def frame_sign_effects(gamma: float, alpha: float) -> np.ndarray:
+    """effects[2t + a] = H_T^{s_t} (x) H_a^{s_a}, with the half-line
+    matrices H^s[i, j] = <s_i x|Theta(s X)|s_j x> element by element."""
+    half = [[np.array([[half_line_overlap(u, v, s) for v in (x, -x)]
+                       for u in (x, -x)]) for s in (+1, -1)]
+            for x in (gamma, alpha)]
+    return np.array([np.kron(half[0][t], half[1][a])
+                     for t in (0, 1) for a in (0, 1)])

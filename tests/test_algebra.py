@@ -50,6 +50,13 @@ class TestOverlap:
                           CoherentSuperposition.coherent([v]))
             assert abs(got - want) < 1e-8
 
+    def test_far_from_origin_does_not_overflow(self):
+        far = CoherentSuperposition.coherent([1e200])
+        assert overlap(far, far) == 1.0
+        pair = far + CoherentSuperposition.coherent([-1e200])
+        assert len(pair.terms) == 2
+        assert norm(pair) == pytest.approx(math.sqrt(2), abs=1e-15)
+
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(3)
         a, b = random_state(rng, 2), random_state(rng, 2)

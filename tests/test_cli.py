@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -99,6 +101,36 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"c_a": c_a, "c_b": c_b}))
         assert run_cli("teleport", "--config", str(cfg)) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, key", [("homodyne", "gamma"),
+                                              ("teleport", "beta")])
+    def test_extreme_amplitudes_run(self, tmp_path, capsys, command, key):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "run.csv"
+        cfg.write_text(json.dumps({key: 1e200}))
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 0
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        probs = [float(r["probability"]) for r in rows[:4]]
+        assert all(math.isfinite(float(r["fidelity"])) for r in rows)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("settings, code", [
+        ({"mode": "sample", "trials": 1e19}, 2),
+        ({"baseline_trials": 1e19}, 2),
+        ({"mode": "sample", "trials": 2 ** 63}, 2),
+        ({"mode": "sample", "trials": 2 ** 63 - 1}, 0),
+        ({"baseline_trials": 2 ** 63 - 1}, 0),
+    ], ids=["trials-1e19", "baseline-1e19", "trials-2**63",
+            "trials-2**63-1", "baseline-2**63-1"])
+    def test_trial_counts_up_to_numpy_limit(self, tmp_path, capsys,
+                                            settings, code):
+        # numpy's multinomial takes counts up to 2**63 - 1; a larger count
+        # is a config error, and the limit itself compares exactly
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        assert run_cli("teleport", "--config", str(cfg)) == code
+        err = capsys.readouterr().err
+        assert ("config key" in err) == (code == 2)
 
     @pytest.mark.parametrize("command, seed", [
         ("bell", "1"), ("eigen", "1"), ("sweep", "1"), ("teleport", "-1"),
@@ -231,6 +263,10 @@ class TestBellEigenCommands:
         assert run_cli("bell", "--out", str(out)) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 17  # header + 16 matrix entries
+        for row in csv.DictReader(lines):
+            for key in ("alpha", "beta", "overlap_re", "overlap_im",
+                        "closed_form", "abs_error"):
+                float(row[key])
         err = capsys.readouterr().err
         assert "Phi+" in err  # frequency-table labels echoed
 

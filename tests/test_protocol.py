@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,7 @@ import pytest
 
 from catport import bell, fock, protocol
 from catport.algebra import (CoherentSuperposition, DegenerateStateError,
-                             fidelity, half_line_overlap, norm, normalize,
-                             overlap)
+                             fidelity, norm, normalize, overlap)
 from catport.bell import (LABELS, BellLabel, QuasiBellSet,
                           UnsupportedConfigurationError)
 from catport.protocol import (CORRECTIONS, CorrectionLabel,
@@ -18,9 +18,13 @@ from catport.protocol import (CORRECTIONS, CorrectionLabel,
                               run_teleport_homodyne, run_teleport_ideal,
                               correction_mu, three_mode_state)
 
-from oracles import (displacement_mat, frame_tensor, gaussian_negative_mass,
-                     half_line_element_quad, parity_mat, protocol_pipeline,
-                     term_pair_sign_statistics)
+from oracles import (FRAME_TO_CAT, displacement_mat, frame_correction_grams,
+                     frame_ideal_maps, frame_sign_corrections,
+                     frame_sign_effects, frame_tensor, gaussian_negative_mass,
+                     half_line_element_quad, half_line_overlap, parity_mat,
+                     protocol_pipeline, term_pair_sign_statistics)
+
+S = FRAME_TO_CAT
 
 
 def coh(amp, coeff=1.0):
@@ -128,9 +132,9 @@ class TestExpandInitial:
             assert len(expand_initial(target, alpha, beta)) == 4
 
     def test_corrupted_solve_trips_residual(self, monkeypatch):
-        real = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: real(a, b)[[1, 0, 3, 2]])
+        # rows [1, 0, 3, 2] are a symmetry of the tables and would not trip
+        monkeypatch.setattr(protocol, "FRAME_COEFFS",
+                            bell.FRAME_COEFFS[[0, 1, 3, 2]])
         with pytest.raises(AssertionError, match="reconstruct"):
             expand_initial(TargetState(0.8, 0.6j, 1.5), 1.5, 1.5)
 
@@ -211,9 +215,9 @@ class TestIdealRun:
         grid = np.linspace(0.5, 6.0, 12)
         for alpha in grid:
             for gamma in grid:
-                gram, _ = protocol._quadruple_reading(alpha, 1.0, gamma)
-                want = bell.gram_closed_form(alpha, gamma)
-                assert np.max(np.abs(gram - want)) < 1e-14
+                got = protocol._check_gram(alpha, gamma)
+                want = np.linalg.cond(bell.gram_closed_form(alpha, gamma))
+                assert got == pytest.approx(want, rel=1e-14)
 
     def test_average_is_probability_weighted(self):
         run = run_teleport_ideal(TargetState(0.6, 0.8, 2.0), 2.0, 2.0)
@@ -486,11 +490,10 @@ def test_non_positive_amplitude_rejected(entry, bad, which):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("which", ["alpha", "beta", "gamma", "c_a"])
 def test_non_finite_input_rejected_up_front(entry, bad, which, monkeypatch):
-    # the frame tables are finite at every amplitude, so only these
-    # checks stop an infinite amplitude or coefficient
-    _refuse_work(monkeypatch, ("_quadruple_reading", "_payload_frame",
-                               "_derive_sign_corrections",
-                               "_correction_grams"))
+    # the cat tables are finite at every amplitude, so only these checks
+    # stop an infinite amplitude or coefficient
+    _refuse_work(monkeypatch, ("_check_gram", "_ideal_maps", "_payload",
+                               "_homodyne_maps", "_correction_grams"))
     args = {"alpha": 2.0, "beta": 2.0, "gamma": 2.0, "c_a": 0.6, which: bad}
     with pytest.raises(ValueError, match="finite"):
         target = TargetState(args["c_a"], 0.8, args["gamma"])
@@ -500,7 +503,7 @@ def test_non_finite_input_rejected_up_front(entry, bad, which, monkeypatch):
 @pytest.mark.parametrize("bad", [(3, 1), (2.5, 2)])
 @pytest.mark.parametrize("slot", [0, 1])
 def test_unsupported_row_rejected_up_front(bad, slot, monkeypatch):
-    _refuse_work(monkeypatch, ("_correction_grams", "_payload_frame",
+    _refuse_work(monkeypatch, ("_correction_grams", "_payload",
                                "generate_from_dynamics"))
     freqs = [(2, 2), (2, 2)]
     freqs[slot] = bad
@@ -609,29 +612,38 @@ class TestBranchMapsAgainstFullState:
 
         counting(protocol, "three_mode_state")
         counting(protocol, "generate_from_dynamics")
-        counting(protocol, "half_line_overlap")
+        counting(protocol, "apply_correction")
+        counting(np.linalg, "eigh")
         counting(CoherentSuperposition, "__post_init__")
-        for collapse, half_lines in (("exact", 16), ("branch", 0)):
+        assert not hasattr(protocol, "half_line_overlap")
+        t = TargetState(0.6, 0.8j, 2.0)
+        for run in (lambda: run_teleport_ideal(t, 2.0, 2.0),
+                    lambda: run_teleport_homodyne(t, 2.0, 2.0),
+                    lambda: run_teleport_homodyne(t, 2.0, 2.0,
+                                                  collapse="branch")):
             calls.clear()
-            run_teleport_homodyne(TargetState(0.6, 0.8j, 2.0), 2.0, 2.0,
-                                  collapse=collapse)
+            run()
             assert calls.get("three_mode_state", 0) == 0
             assert calls.get("generate_from_dynamics", 0) == 0
-            assert calls.get("half_line_overlap", 0) == half_lines
-            # all of them in the correction Grams and the records
-            assert calls["__post_init__"] <= 28
+            assert calls.get("eigh", 0) == 0
+            # one per record; none builds a correction Gram
+            assert calls["apply_correction"] == 4
+            # all of them in the records
+            assert calls["__post_init__"] <= 14
         calls.clear()
-        protocol._quadruple_reading(2.0, 2.5, 1.5)
-        protocol._payload_frame(TargetState(0.6, 0.8j, 1.5))
-        protocol._derive_sign_corrections(((1, 2), (2, 1)))
+        protocol._ideal_maps(2.0, 1.5)
+        protocol._payload(TargetState(0.6, 0.8j, 1.5))
+        protocol._homodyne_maps(((1, 2), (2, 1)))
+        protocol._correction_grams(2.5)
+        protocol._sign_effects(1.5, 2.0)
         assert calls.get("__post_init__", 0) == 0
 
     @pytest.mark.parametrize("freqs", _ROW_PAIRS)
     def test_table_probes_equal_symbolic_probes(self, freqs):
         # the pi-point tables hold at every amplitude: both basis payloads'
         # symbolic three-mode states read back to the same 0, +-1/2 pattern
-        _, maps = protocol._derive_sign_corrections(freqs)
-        probes = maps.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
+        _, maps = protocol._homodyne_maps(freqs)
+        probes = (S / 2 @ maps @ S).reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
         rng = np.random.default_rng(sum(freqs[0] + freqs[1]))
         for alpha, beta, gamma in rng.uniform(0.6, 5.0, (4, 3)):
             frame = (gamma, alpha, beta)
@@ -644,7 +656,7 @@ class TestBranchMapsAgainstFullState:
     def test_payload_frame_matches_realized_state(self):
         for target, _, _ in _random_cases(404, 50):
             want = frame_tensor(target.realized(), (target.gamma,))
-            got = protocol._payload_frame(target)
+            got = S / 2 @ protocol._payload(target)
             assert np.max(np.abs(got - want)) < 1e-14
 
     def test_no_symbolic_measurement_route(self, monkeypatch):
@@ -673,21 +685,12 @@ class TestBranchMapsAgainstFullState:
         assert abs(run.probabilities().sum() - 1.0) < 1e-12
 
 
-def _half_line_closed_form(x):
-    """(H^+, H^-) on the frame {|x>, |-x>}: H^+ = [[1 - m, e/2], [e/2, m]]
-    with m the sign-error probability and e = <x|-x>, H^- = K - H^+."""
-    m, e = misclassification_probability(x), math.exp(-2.0 * x * x)
-    plus = np.array([[1.0 - m, e / 2], [e / 2, m]])
-    return plus, np.array([[1.0, e], [e, 1.0]]) - plus
-
-
 class TestSignEffects:
     @pytest.mark.parametrize("gamma, alpha", [(0.3, 0.7), (1.0, 1.0),
                                               (1.5, 2.5), (3.0, 0.8)])
     def test_kronecker_of_closed_forms(self, gamma, alpha):
-        h_t, h_a = _half_line_closed_form(gamma), _half_line_closed_form(alpha)
-        want = np.array([np.kron(h_t[t], h_a[a])
-                         for t in (0, 1) for a in (0, 1)])
+        # against the element-by-element half-line overlaps
+        want = frame_sign_effects(gamma, alpha)
         got = protocol._sign_effects(gamma, alpha)
         assert np.max(np.abs(got - want)) < 1e-15
 
@@ -699,6 +702,67 @@ class TestSignEffects:
         assert gaps[-1] < 1e-12
         assert np.max(np.abs(protocol._sign_effects(5.0, 7.0)
                              - protocol._BRANCH_EFFECTS)) < 1e-12
+
+
+class TestFrameRoute:
+    """The cat-coordinate tables against the frame route in oracles.
+
+    A frame map is (S/2) M S of the cat map M, a frame correction Gram C
+    is S C' S of the cat one C'.  The frame route loses digits to
+    cancellation below amplitude 0.3.
+    """
+
+    AMPS = np.linspace(0.3, 6.0, 7)
+
+    @pytest.mark.parametrize("freqs", _ROW_PAIRS)
+    def test_sign_table_maps_and_corrections(self, freqs):
+        corrections, maps = protocol._homodyne_maps(freqs)
+        want_corrections, want_maps = frame_sign_corrections(freqs)
+        assert corrections == want_corrections
+        assert np.max(np.abs(S / 2 @ maps @ S - want_maps)) < 1e-13
+
+    def test_ideal_maps(self):
+        for alpha, beta, gamma in itertools.product(self.AMPS, repeat=3):
+            want, _ = frame_ideal_maps(alpha, beta, gamma)
+            got = S / 2 @ protocol._ideal_maps(alpha, gamma) @ S
+            assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_sign_effects(self):
+        for gamma, alpha in itertools.product(self.AMPS, repeat=2):
+            assert np.max(np.abs(protocol._sign_effects(gamma, alpha)
+                                 - frame_sign_effects(gamma, alpha))) < 1e-13
+
+    def test_correction_grams(self):
+        for beta in self.AMPS:
+            want = S / 2 @ frame_correction_grams(beta) @ S / 2
+            got = protocol._correction_grams(beta)
+            assert np.max(np.abs(got - want)) < 1e-13
+
+
+def _nudged(weights, rng, ulps=4):
+    """Each weight moved by `ulps` units in the last place, up or down."""
+    up = rng.random(weights.shape) < 0.5
+    for _ in range(ulps):
+        weights = np.where(up, np.nextafter(weights, np.inf),
+                           np.nextafter(weights, -np.inf))
+    return weights
+
+
+def test_seeded_draws_survive_last_bit_changes():
+    # equal cells (the baseline repeats each branch weight four times)
+    # make the sequential binomial sampler hit p_j / remaining = 1/2, a
+    # branch point: without the grid a 1-ulp change re-draws the sample
+    rng = np.random.default_rng(2024)
+    moved = 0
+    for i, (target, alpha, beta) in enumerate(_random_cases(606, 1000)):
+        if i % 5 == 0:
+            target = TargetState(1.0, 1.0, target.gamma)
+        p = run_teleport_ideal(target, alpha, beta).probabilities()
+        weights = np.repeat(p, 4) if i % 2 else p
+        draws = [protocol._multinomial(np.random.default_rng(i), 1000, w)
+                 for w in (weights, _nudged(weights, rng))]
+        moved += not np.array_equal(*draws)
+    assert moved <= 10
 
 
 class TestInitialState:
