@@ -26,7 +26,6 @@ safe to share across threads or process pools.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -269,21 +268,6 @@ class CoherentSuperposition:
                 for t in self.terms
             ],
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CoherentSuperposition":
-        terms = tuple(
-            CoherentTerm(complex(*t["coeff"]),
-                         tuple(complex(*a) for a in t["amps"]))
-            for t in doc["terms"])
-        return cls(doc["num_modes"], terms)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoherentSuperposition":
-        return cls.from_dict(json.loads(text))
 
     def __str__(self):
         def fmt(z):

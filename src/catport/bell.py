@@ -215,6 +215,18 @@ def frequency_row(row) -> tuple[int, int]:
     return key
 
 
+def _pi_point(state: CoherentSuperposition, modes,
+              row) -> CoherentSuperposition:
+    """The pi-point interaction with frequency row (omega, omega') on two
+    modes: the free rotation exp(-i pi omega n) is the parity for odd
+    omega and the identity for even omega, applied exactly, then the
+    cross-Kerr step."""
+    for mode, omega in zip(modes, row):
+        if omega % 2:
+            state = state.parity(mode)
+    return state.cross_kerr_pi(*modes)
+
+
 def generate_from_dynamics(omega_a: int, omega_b: int, alpha: float,
                            beta: float):
     """Run the pi-point interaction on |alpha>|beta> and label the output.
@@ -229,10 +241,8 @@ def generate_from_dynamics(omega_a: int, omega_b: int, alpha: float,
         UnsupportedConfigurationError: frequency pair outside the table.
     """
     key = frequency_row((omega_a, omega_b))
-    state = (CoherentSuperposition.coherent([alpha, beta])
-             .rotate(0, math.pi * key[0])
-             .rotate(1, math.pi * key[1])
-             .cross_kerr_pi(0, 1))
+    state = _pi_point(CoherentSuperposition.coherent([alpha, beta]), (0, 1),
+                      key)
     label = FREQUENCY_TABLE[key]
     state = normalize(state)
     f = fidelity(state, make_quasi_bell(label, alpha, beta))

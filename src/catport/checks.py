@@ -23,7 +23,7 @@ from .bell import (LABELS, BellLabel, DisplacementQuantum, FREQUENCY_TABLE,
 from .protocol import TargetState, run_teleport_ideal
 from .reports import loglog_slope
 
-__all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
+__all__ = ["CheckResult", "run_checks"]
 
 DEFAULT_CHECK_SEED = 20111103
 
@@ -245,12 +245,6 @@ def check_corrupted_truncation() -> CheckResult:
     return CheckResult("corrupted-truncation", ok,
                        f"leakage {leak:.3e} at dims=3 for amplitude 2 "
                        "(expected to fail)")
-
-
-CHECK_NAMES = ("frequency-table", "backend-equivalence",
-               "operator-identities", "gram-closed-forms",
-               "eigen-structure", "measurement-completeness",
-               "displacement-linearization")
 
 
 def run_checks(seed=DEFAULT_CHECK_SEED, self_test: bool = False):

@@ -81,20 +81,6 @@ def _take(cfg: dict, schema: dict) -> dict:
 _REQUIRED = object()
 
 
-def serialize_config(cfg: dict) -> str:
-    """Canonical JSON for a validated config: parse -> serialize -> parse
-    is the identity (complex values as [re, im], rows as lists)."""
-    doc = {}
-    for key, value in cfg.items():
-        if isinstance(value, complex):
-            doc[key] = [value.real, value.imag]
-        elif isinstance(value, tuple):
-            doc[key] = [list(v) if isinstance(v, tuple) else v for v in value]
-        else:
-            doc[key] = value
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def _finite(x) -> float:
     # bool is an int subclass and float() parses strings: refuse both
     if isinstance(x, bool) or not isinstance(x, (int, float)):

@@ -104,16 +104,6 @@ class FockVector:
     def fidelity(self, other: "FockVector") -> float:
         return abs(self.inner(other)) ** 2 / (self.norm() ** 2 * other.norm() ** 2)
 
-    def to_dict(self) -> dict:
-        flat = self.data.reshape(-1)
-        return {"dims": list(self.dims),
-                "data": [[z.real, z.imag] for z in flat]}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FockVector":
-        data = np.array([complex(re, im) for re, im in doc["data"]])
-        return cls(tuple(doc["dims"]), data)
-
 
 @dataclass(frozen=True)
 class DynamicsParams:

@@ -24,8 +24,9 @@ probe for fidelity scaling is c_a=1, c_b=0.
 Homodyne path: entangling T with a by a second pi-point interaction
 turns the Bell measurement into two sign-of-quadrature readings; the
 sign pair selects the same four corrections.  Collapse is computed
-either per coherent branch (error bounded by the reported Gaussian
-sign-error 1/2 erfc(sqrt(2) amp)) or exactly, at every amplitude.
+exactly, at every amplitude, or per coherent branch, its limit e = m = 0
+(error bounded by the reported Gaussian sign error m = 1/2 erfc(sqrt(2)
+amp)).
 
 Runs work on bell.make_cat's cats |x_+-> = (|x> +- |-x>)/2, orthogonal
 with Gram matrix diag(1 + e, 1 - e)/2, e = e^{-2x^2}; the frame
@@ -33,15 +34,15 @@ with Gram matrix diag(1 + e, 1 - e)/2, e = e^{-2x^2}; the frame
 is a two-qubit sign circuit at every amplitude: the channel is S, the
 orthogonalized quadruple is the fixed orthonormal set S FRAME_COEFFS S/2
 on the normalized cats, a pi-point step with row (w1, w2) is
-Z^w1 (x) Z^w2 CZ, a sign reading takes its mode to the frame by the row
-S/2, and parity is Z.  Each outcome leaves the receiver a 2x2 map of the
-payload; one kernel turns the maps into weights and every correction's
-fidelity, given each outcome's effect on the measured modes: the
-projector on one outcome index for the Bell measurement and the branch
-readout, and for the exact collapse the Kronecker product of the
-half-line matrices <s_i x|Theta(s X)|s_j x>, [[1 - m, e/2], [e/2, m]]
-for s = + with m the sign-error probability.  The Bell measurement and
-the exact collapse are both complete on the payload's span, so a run's
+Z^w1 (x) Z^w2 CZ, and parity is Z.  Each outcome leaves the receiver a
+2x2 map of the payload; one kernel turns the maps into weights and every
+correction's fidelity, given each outcome's effect on the measured
+modes: the projector on one outcome index for the Bell measurement, and
+for a sign pair the Kronecker product of the half-line matrices
+<x_i|Theta(s X)|x_j> on the measured modes' cats, [[1 + e, s q],
+[s q, 1 - e]]/4 with q = erf(sqrt(2) x) = 1 - 2m.  The frame enters only
+where a sign pair's record is written.  The Bell measurement and the
+exact collapse are both complete on the payload's span, so a run's
 inconclusive_rate is the rounding defect max(0, 1 - sum p).
 """
 
@@ -50,13 +51,14 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (CoherentSuperposition, DegenerateStateError, _kernel,
                       norm, normalize, overlap, partial_overlap, tensor)
-from .bell import (FRAME_COEFFS, LABELS, BellLabel, QuasiBellSet,
+from .bell import (FRAME_COEFFS, LABELS, BellLabel, QuasiBellSet, _pi_point,
                    frequency_row, generate_from_dynamics, make_quasi_bell,
                    measurement_bits)
 
@@ -64,7 +66,6 @@ __all__ = [
     "DegenerateBasisError",
     "TargetState",
     "CorrectionLabel",
-    "correction_for_label",
     "apply_correction",
     "LowdinMeasurement",
     "expand_initial",
@@ -123,12 +124,6 @@ class TargetState:
             CoherentSuperposition.coherent([self.gamma], self.c_a)
             + CoherentSuperposition.coherent([-self.gamma], self.c_b))
 
-    def ideal_bob(self, beta: float) -> CoherentSuperposition:
-        """The payload re-encoded at the receiver amplitude."""
-        return normalize(
-            CoherentSuperposition.coherent([beta], self.c_a)
-            + CoherentSuperposition.coherent([-beta], self.c_b))
-
 
 class CorrectionLabel(enum.Enum):
     IDENTITY = "identity"
@@ -143,11 +138,6 @@ class CorrectionLabel(enum.Enum):
 #: each Bell outcome's correction, in LABELS order
 CORRECTIONS = (CorrectionLabel.IDENTITY, CorrectionLabel.PARITY,
                CorrectionLabel.DISP, CorrectionLabel.PARITY_DISP)
-
-
-def correction_for_label(label: BellLabel) -> CorrectionLabel:
-    """Correction selected by the two measurement bits of a Bell outcome."""
-    return CORRECTIONS[LABELS.index(BellLabel(label))]
 
 
 def correction_mu(beta: float) -> complex:
@@ -257,9 +247,14 @@ _BELL_CATS.setflags(write=False)
 
 
 def _cat_norms2(x: float) -> np.ndarray:
-    """<x_+|x_+>, <x_-|x_->: (1 + e, 1 - e)/2 with e = e^{-2x^2}."""
-    return np.array([1.0 + math.exp(-2.0 * x * x),
-                     -math.expm1(-2.0 * x * x)]) / 2.0
+    """<x_+|x_+>, <x_-|x_->: (1 + e, 1 - e)/2 with e = e^{-2x^2}.
+
+    Below the normal floats (x < 1.1e-154) 1 - e keeps no digits, so the
+    odd cat counts as the zero state.
+    """
+    odd = -math.expm1(-2.0 * x * x) / 2.0
+    return np.array([(1.0 + math.exp(-2.0 * x * x)) / 2.0,
+                     odd if odd >= sys.float_info.min else 0.0])
 
 
 def _payload(target: TargetState) -> np.ndarray:
@@ -279,7 +274,8 @@ def _check_gram(alpha: float, gamma: float) -> float:
         DegenerateBasisError: the condition number exceeds
             GRAM_CONDITION_LIMIT.
     """
-    (pa, ma), (pg, mg) = 2.0 * _cat_norms2(alpha), 2.0 * _cat_norms2(gamma)
+    # Python floats: an overflowing ratio is inf, with no numpy warning
+    (pa, ma), (pg, mg) = (_cat_norms2(x).tolist() for x in (alpha, gamma))
     cond = pa * pg / (ma * mg) if ma * mg > 0.0 else math.inf
     if cond > GRAM_CONDITION_LIMIT:
         raise DegenerateBasisError(f"Gram condition number {cond:.3g} "
@@ -330,7 +326,6 @@ def _ideal_maps(alpha: float, gamma: float) -> np.ndarray:
     cats of the channel (the table S on (a, b)) and of the payload meet
     with their norms n = sqrt(diag G).
     """
-    _check_gram(alpha, gamma)
     n_a, n_g = np.sqrt(_cat_norms2(alpha)), np.sqrt(_cat_norms2(gamma))
     return np.einsum("kat,a,t,ab->kbt", _BELL_CATS, n_a, n_g, _S)
 
@@ -351,27 +346,39 @@ def _correction_grams(beta: float) -> np.ndarray:
     return np.array([gram, z @ gram, disp, z @ disp])
 
 
-#: the Bell measurement and the branch readout: outcome k keeps measured
-#: index k alone
-_BRANCH_EFFECTS = np.einsum("km,kn->kmn", np.eye(4), np.eye(4))
+#: the Bell measurement: outcome 2s + t keeps measured index 2s + t
+#: alone, the projector on each of its bits
+_BRANCH_EFFECTS = (np.einsum("km,kn->kmn", np.eye(2), np.eye(2)),) * 2
 
 
-def _statistics(comps: np.ndarray, effects: np.ndarray, chat: np.ndarray,
+def _apply_effects(effects, v: np.ndarray) -> np.ndarray:
+    """w[k, m] = sum_n E_k[m, n] v[n], with E_{2s+t} = A[s] (x) B[t] for
+    effects = (A, B) on measured index 2x + i.  One factor at a time, and
+    before any two components are multiplied, so that components a
+    reading cancels cancel exactly."""
+    a, b = effects
+    w = np.einsum("tij,xjr->txir", b, v.reshape(2, 2, -1))
+    return np.einsum("sxy,tyir->stxir", a, w).reshape(4, 4, -1)
+
+
+def _statistics(comps: np.ndarray, effects, chat: np.ndarray,
                 grams: np.ndarray):
     """Outcome probabilities p[k] and fidelities f[k, c] under correction c.
 
     comps[m] is the receiver's cat coordinates on measured index m,
-    effects[k, m, n] outcome k's effect on the measured modes and
-    G = grams[0], so p_k = sum_mn comps[m]^H effects[k, m, n] G comps[n].
-    The receiver's conditional state is a mixture over the readings; its
-    fidelity after correction c against the ideal state (cat coordinates
-    proportional to chat) is u^H effects[k] u / (p_k chat^H G chat) with
-    u[m] = chat^H C_c comps[m], C_c = grams[c] (see _correction_grams).
+    effects the pair (A, B) of per-mode effects, E_k as in
+    _apply_effects, and G = grams[0], so p_k = sum_mn comps[m]^H
+    E_k[m, n] G comps[n].  The receiver's conditional state is a mixture
+    over the readings; its fidelity after correction c against the ideal
+    state (cat coordinates proportional to chat) is u^H E_k u / (p_k
+    chat^H G chat) with u[m] = chat^H C_c comps[m], C_c = grams[c] (see
+    _correction_grams).
     """
-    probs = np.einsum("mi,kmn,ij,nj->k", comps.conj(), effects, grams[0],
-                      comps).real
+    probs = np.einsum("mi,ij,kmj->k", comps.conj(), grams[0],
+                      _apply_effects(effects, comps)).real
     u = np.einsum("i,cij,mj->cm", chat.conj(), grams, comps)
-    num = np.einsum("cm,kmn,cn->kc", u.conj(), effects, u).real
+    num = np.einsum("cm,kmc->kc", u.conj(),
+                    _apply_effects(effects, u.T)).real
     scale = np.vdot(chat, grams[0] @ chat).real * probs[:, None]
     fids = np.divide(num, scale, out=np.zeros(num.shape), where=scale > 0)
     return probs, fids
@@ -434,12 +441,6 @@ class ProtocolRun:
     def probabilities(self) -> np.ndarray:
         return np.array([b.outcome.probability for b in self.branches])
 
-    def empirical_frequencies(self) -> np.ndarray | None:
-        if self.counts is None:
-            return None
-        c = np.array(self.counts, dtype=float)
-        return c / c.sum()
-
 
 def _check_inputs(alpha: float, beta: float, mode: str = "enumerate",
                   trials: int = 1):
@@ -452,14 +453,19 @@ def _check_inputs(alpha: float, beta: float, mode: str = "enumerate",
 
 
 def _build_run(path: str, target: TargetState, alpha: float, beta: float,
-               maps, effects, outcomes, corrections, mode: str,
+               maps, effects, rows, outcomes, corrections, mode: str,
                seed: int | None, trials: int, renormalize: bool = False,
                **extra) -> ProtocolRun:
     """A run from the 2x2 maps, the outcome effects (see _statistics), the
-    per-branch (label, eigen_bits) outcomes and corrections; renormalize
-    rescales the probabilities to sum to 1."""
+    rows taking the measured index to each record's outcome (None: the
+    same index), the per-branch (label, eigen_bits) outcomes and
+    corrections; renormalize rescales the probabilities to sum to 1."""
     chat = _payload(target)
     comps = maps @ chat
+    if renormalize:
+        # relative weights: a power of two (exact) puts the largest
+        # component near 1, so that its square stays finite
+        comps = comps * 2.0 ** -np.frexp(np.abs(comps).max())[1]
     probs, fids = _statistics(comps, effects, chat, _correction_grams(beta))
     if renormalize:
         probs = probs / probs.sum()
@@ -468,8 +474,9 @@ def _build_run(path: str, target: TargetState, alpha: float, beta: float,
             for k, c in enumerate(corrections)]
     branches = []
     # the records hold the receiver's frame coordinates S v / 2
-    for (label, bits), corr, v, p, f in zip(outcomes, corrections,
-                                            comps @ _S / 2, probs, fids):
+    frame = (comps if rows is None else rows @ comps) @ _S / 2
+    for (label, bits), corr, v, p, f in zip(outcomes, corrections, frame,
+                                            probs, fids):
         raw = CoherentSuperposition(1, ((v[0], (beta,)), (v[1], (-beta,))))
         nonzero = norm(raw) > 0
         bob = normalize(raw) if nonzero else raw
@@ -503,7 +510,7 @@ def run_teleport_ideal(target: TargetState, alpha: float, beta: float,
     _check_inputs(alpha, beta, mode, trials)
     return _build_run(
         "ideal", target, alpha, beta, _ideal_maps(alpha, target.gamma),
-        _BRANCH_EFFECTS,
+        _BRANCH_EFFECTS, None,
         [(lab.value, measurement_bits(lab)) for lab in LABELS], CORRECTIONS,
         mode, seed, trials)
 
@@ -535,43 +542,53 @@ def three_mode_state(target: TargetState, alpha: float, beta: float,
     """
     row_ab, row_ta = frequency_row(freqs[0]), frequency_row(freqs[1])
     channel, _ = generate_from_dynamics(*row_ab, alpha, beta)
-    joint = tensor(target.realized(), channel)
-    return (joint.rotate(0, math.pi * row_ta[0])
-            .rotate(1, math.pi * row_ta[1])
-            .cross_kerr_pi(0, 1))
+    return _pi_point(tensor(target.realized(), channel), (0, 1), row_ta)
 
 
 def _homodyne_maps(freqs):
-    """Each sign pair's correction and maps[2t + a][b, x], receiver cat b
-    per payload cat x on sign pair (t, a), bit 1 for a minus sign.
+    """Each sign pair's correction and maps[2x + i][b, y], receiver cat b
+    per payload cat y on measured cats x of T and i of a.
 
     |alpha>|beta> is all ones on the cats.  With w the channel row and v
-    the T-a row mod 2, pair (t, a) leaves Z^p X^d on the payload, with
-    p = t^v1^w2 and d = a^w1^v2: parity undoes Z, the displacement X.
+    the T-a row mod 2, sign pair (t, a), bit 1 for a minus sign, leaves
+    Z^p X^d on the payload, with p = t^v1^w2 and d = a^w1^v2: parity
+    undoes Z, the displacement X.
     """
     (w1, w2), (v1, v2) = ([w % 2 for w in frequency_row(row)]
                           for row in freqs)
     i, j = np.arange(2)[:, None], np.arange(2)
     channel = (-1.0) ** (i * w1 + j * w2 + i * j)
     entangler = (-1.0) ** (i * v1 + j * v2 + i * j)
-    maps = np.einsum("tx,ai,xi,ib->tabx", _S / 2, _S / 2, entangler,
-                     channel).reshape(4, 2, 2)
+    maps = np.einsum("xi,ib,xy->xiby", entangler, channel,
+                     np.eye(2)).reshape(4, 2, 2)
     corrections = [CORRECTIONS[(t ^ v1 ^ w2) + 2 * (a ^ w1 ^ v2)]
                    for t in (0, 1) for a in (0, 1)]
     return corrections, maps
 
 
-def _sign_effects(gamma: float, alpha: float) -> np.ndarray:
-    """effects[2t + a] = H_T^{s_t} (x) H_a^{s_a} (_SIGN_LABELS order): the
-    exact effect of a sign pair on the frames of T (at gamma) and a (at
-    alpha), with H^+ = [[1 - m, e/2], [e/2, m]] and H^- = K - H^+, m the
-    sign-error probability, e = <x|-x> and K the frame Gram matrix."""
-    half = []
+def _sign_effects(gamma: float, alpha: float):
+    """(H_T, H_a): sign pair 2t + a (_SIGN_LABELS order) has the exact
+    effect H_T[t] (x) H_a[a] on the cats of T (at gamma) and a (at alpha),
+    H[0], H[1] = [[1 + e, +-q], [+-q, 1 - e]]/4 with e = e^{-2x^2} and
+    q = erf(sqrt(2) x) = 1 - 2m, m the sign-error probability."""
+    halves = []
     for x in (gamma, alpha):
-        m, e = misclassification_probability(x), math.exp(-2.0 * x * x)
-        plus = np.array([[1.0 - m, e / 2], [e / 2, m]])
-        half.append((plus, np.array([[1.0, e], [e, 1.0]]) - plus))
-    return np.array([np.kron(h_t, h_a) for h_t in half[0] for h_a in half[1]])
+        norms2 = _cat_norms2(x)
+        # |q| <= sqrt((1 + e)(1 - e)): a zero odd cat has no coherences
+        q = math.erf(math.sqrt(2.0) * x) if norms2[1] > 0 else 0.0
+        diag, off = np.diag(norms2) / 2, q / 4 * (1.0 - np.eye(2))
+        halves.append(np.array([diag + off, diag - off]))
+    return tuple(halves)
+
+
+#: the branch readout: the exact effects' limit e = m = 0, each sign
+#: reading the projector on one frame sign
+_BRANCH_SIGN_EFFECTS = _sign_effects(math.inf, math.inf)
+
+#: a record's outcome 2t + a from the measured cats 2x + i: the frame row
+#: (S/2)[t, x] (S/2)[a, i] of each sign reading
+_SIGN_ROWS = np.kron(_S, _S) / 4
+_SIGN_ROWS.setflags(write=False)
 
 
 def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
@@ -594,7 +611,8 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
     branch = collapse == "branch"
     return _build_run(
         "homodyne", target, alpha, beta, maps,
-        _BRANCH_EFFECTS if branch else _sign_effects(target.gamma, alpha),
+        _BRANCH_SIGN_EFFECTS if branch
+        else _sign_effects(target.gamma, alpha), _SIGN_ROWS,
         [(label, None) for label in _SIGN_LABELS],
         corrections, mode, seed, trials, renormalize=branch,
         misclassification={"T": misclassification_probability(target.gamma),
@@ -606,46 +624,23 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
 # No-channel baseline
 # ---------------------------------------------------------------------------
 
-def _uniform_logical(rng) -> tuple[complex, complex]:
-    """Uniform draw on the logical coefficient sphere."""
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    half = math.acos(z) / 2.0
-    return math.cos(half), math.sin(half) * complex(math.cos(phi),
-                                                    math.sin(phi))
-
-
 def classical_baseline(target: TargetState, alpha: float, beta: float,
-                       trials: int, seed: int | None = None,
-                       sample_targets: bool = False) -> tuple[float, float]:
+                       trials: int, seed: int | None = None
+                       ) -> tuple[float, float]:
     """Receiver guesses the correction with no classical channel.
 
     A branch is drawn from the exact outcome distribution, the receiver
     applies a uniformly random correction, and two numbers come back:
     the rate at which the guess matched the branch's correct correction
     (-> 1/4) and the mean resulting fidelity.  Deterministic for a fixed
-    seed; optionally averages over uniformly drawn payloads.  For a
-    fixed payload the trials are one multinomial draw over the 16
-    (branch, guess) cells, so memory does not grow with ``trials``.
+    seed.  The trials are one multinomial draw over the 16 (branch,
+    guess) cells, so memory does not grow with ``trials``.
     """
     _check_inputs(alpha, beta, "sample", trials)
-    rng = np.random.default_rng(seed)
-    maps = _ideal_maps(alpha, target.gamma)
-    grams = _correction_grams(beta)
-
-    def draw(t: TargetState, n: int) -> tuple[int, float]:
-        chat = _payload(t)
-        p, fmat = _statistics(maps @ chat, _BRANCH_EFFECTS, chat, grams)
-        cells = _multinomial(rng, n, np.repeat(p, 4)).reshape(fmat.shape)
-        # CORRECTIONS is in LABELS order: right guesses sit on the diagonal
-        return int(np.trace(cells)), float(np.sum(cells * fmat))
-
-    if sample_targets:
-        hits, fid_sum = 0, 0.0
-        for _ in range(trials):
-            h, f = draw(TargetState(*_uniform_logical(rng), target.gamma), 1)
-            hits += h
-            fid_sum += f
-    else:
-        hits, fid_sum = draw(target, trials)
-    return hits / trials, fid_sum / trials
+    chat = _payload(target)
+    p, fmat = _statistics(_ideal_maps(alpha, target.gamma) @ chat,
+                          _BRANCH_EFFECTS, chat, _correction_grams(beta))
+    cells = _multinomial(np.random.default_rng(seed), trials,
+                         np.repeat(p, 4)).reshape(fmat.shape)
+    # CORRECTIONS is in LABELS order: right guesses sit on the diagonal
+    return int(np.trace(cells)) / trials, float(np.sum(cells * fmat)) / trials

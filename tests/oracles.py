@@ -7,12 +7,15 @@ not erfc) and the whole measurement pipeline are re-derived
 independently, so that every dual-route assertion really has two routes.
 The exceptions check frame reductions, not the kernels, so they work
 on the algebra's symbolic states: ``frame_tensor`` reads a state back
-into frame coefficients, ``term_pair_sign_statistics`` reuses the
-algebra's kernels on the full symbolic three-mode state, and the frame
-route below rebuilds the protocol's tables on the coherent frames
-{|x>, |-x>} the way the package did before it moved to cat coordinates:
-an eigendecomposition Lowdin map, pi-point tables read by a pattern
-match, and correction Grams from symbolic states.
+into frame coefficients, ``ideal_bob`` builds the reference receiver
+state, ``term_pair_sign_statistics`` reuses the algebra's kernels on the
+full symbolic three-mode state, and the frame route below rebuilds the
+protocol's tables on the coherent frames {|x>, |-x>} the way the package
+did before it moved to cat coordinates: an eigendecomposition Lowdin
+map, pi-point tables read by a pattern match, and correction Grams from
+symbolic states.  The last two routes redo the ideal path and the exact
+collapse on the frames in 100-digit mpmath arithmetic, for amplitudes
+where double-precision frame Grams are singular.
 """
 
 from __future__ import annotations
@@ -228,6 +231,14 @@ def frame_tensor(state, frame) -> np.ndarray:
     return out
 
 
+def ideal_bob(target, beta: float):
+    """The payload re-encoded at the receiver amplitude, normalized."""
+    from catport.algebra import CoherentSuperposition, normalize
+
+    return normalize(CoherentSuperposition.coherent([beta], target.c_a)
+                     + CoherentSuperposition.coherent([-beta], target.c_b))
+
+
 def term_pair_sign_statistics(state, mapping, ideal, beta):
     """Exact homodyne sign statistics as double sums over term pairs.
 
@@ -368,3 +379,149 @@ def frame_sign_effects(gamma: float, alpha: float) -> np.ndarray:
             for x in (gamma, alpha)]
     return np.array([np.kron(half[0][t], half[1][a])
                      for t in (0, 1) for a in (0, 1)])
+
+
+# -- 100-digit routes at small amplitude ---------------------------------------
+# Both routes work on the frames {|x>, |-x>} in mpmath.  An odd payload
+# at amplitude x is normalized by 1/x, so a fidelity's double sums cancel
+# about 4 log10(1/x) digits: 100 digits leave more than 50 at x = 1e-12.
+
+_DPS = 100
+
+
+def _mp_overlap(u, v):
+    """<u|v> between coherent kets."""
+    return mpmath.exp(-abs(u) ** 2 / 2 - abs(v) ** 2 / 2 + mpmath.conj(u) * v)
+
+
+def _mp_half_line(u, v, sign):
+    """<u|Theta(sign X)|v> for real u, v: e^{-(u-v)^2/2} erfc(-s(u+v)/sqrt 2)/2."""
+    return (mpmath.exp(-(u - v) ** 2 / 2)
+            * mpmath.erfc(-sign * (u + v) / mpmath.sqrt(2)) / 2)
+
+
+def _mp_corrected(v, correction: str, beta):
+    """U_c|v> = phase |w> for a correction named by its value: (phase, w)."""
+    if correction == "identity":
+        return 1, v
+    if correction == "parity":
+        return 1, -v
+    mu = mpmath.mpc(0, mpmath.pi / (2 * beta))
+    phase = 1j * mpmath.expj((mu * mpmath.conj(v)).imag)
+    return phase, (v + mu if correction == "disp" else -(v + mu))
+
+
+def _mp_payload(c_a, c_b, gamma):
+    """Frame coefficients of c_a|gamma> + c_b|-gamma>, normalized."""
+    c = [mpmath.mpc(c_a), mpmath.mpc(c_b)]
+    e = mpmath.exp(-2 * gamma ** 2)
+    n2 = (abs(c[0]) ** 2 + abs(c[1]) ** 2
+          + 2 * e * (mpmath.conj(c[0]) * c[1]).real)
+    return [x / mpmath.sqrt(n2) for x in c]
+
+
+def _mp_statistics(outcomes, corrections, c_a, c_b, beta):
+    """p_k and f_k from each outcome's receiver terms [(c_i, b_i)] and
+    weights W[j][i] on its term pairs: p = sum_ij conj(c_j) c_i W_ji
+    <b_j|b_i>, and the corrected fidelity against the ideal phi is
+    sum_ij conj(c_j g_j) c_i g_i W_ji / (p <phi|phi>), g_i = <phi|U|b_i>."""
+    phi = list(zip(_mp_payload(c_a, c_b, beta), (beta, -beta)))
+    probs, fids = [], []
+    for (terms, weights), corr in zip(outcomes, corrections):
+        p = f = 0
+        g = []
+        for c, b in terms:
+            phase, w = _mp_corrected(b, corr, beta)
+            g.append(phase * sum(mpmath.conj(cp) * _mp_overlap(bp, w)
+                                 for cp, bp in phi))
+        for j, (cj, bj) in enumerate(terms):
+            for i, (ci, bi) in enumerate(terms):
+                w = weights[j][i]
+                p += mpmath.conj(cj) * ci * w * _mp_overlap(bj, bi)
+                f += mpmath.conj(cj * g[j]) * ci * g[i] * w
+        p = p.real
+        probs.append(float(p))
+        fids.append(float(f.real / p) if p > 0 else 0.0)
+    return np.array(probs), np.array(fids)
+
+
+def mp_ideal_statistics(c_a, c_b, gamma: float, alpha: float, beta: float):
+    """Ideal-path probabilities and fidelities (CORRECTIONS order) in 100
+    digits: the quadruple's frame Gram G on (a, T) orthogonalized with
+    mpmath.eigsy, and outcome k's receiver frame coefficients
+    sum_j (G^{-1/2})_{jk} <B_j|joint>."""
+    from catport.bell import FRAME_COEFFS
+
+    with mpmath.workdps(_DPS):
+        a, b, g = (mpmath.mpf(x) for x in (alpha, beta, gamma))
+        coeffs = [[[mpmath.mpf(FRAME_COEFFS[k, i, j]) for j in (0, 1)]
+                   for i in (0, 1)] for k in range(4)]
+        k_a, k_g = ([[1, mpmath.exp(-2 * x ** 2)], [mpmath.exp(-2 * x ** 2), 1]]
+                    for x in (a, g))
+        pairs = list(itertools.product((0, 1), repeat=2))
+        gram = mpmath.matrix(4, 4)
+        for j, k in itertools.product(range(4), repeat=2):
+            gram[j, k] = sum(coeffs[j][s][t] * k_a[s][u] * k_g[t][v]
+                             * coeffs[k][u][v]
+                             for (s, t), (u, v) in itertools.product(pairs,
+                                                                     pairs))
+        evals, evecs = mpmath.eigsy(gram)
+        inv_sqrt = [[sum(evecs[j, m] * evecs[k, m] / mpmath.sqrt(evals[m])
+                         for m in range(4)) for k in range(4)]
+                    for j in range(4)]
+        payload = _mp_payload(c_a, c_b, g)
+        # <B_j| on (a, T) against payload (x) Phi+ on (T, a, b)
+        reading = [[sum(coeffs[j][s][t] * k_a[s][u] * k_g[t][x] * payload[x]
+                        * coeffs[0][u][r]
+                        for s, t, u, x in itertools.product((0, 1), repeat=4))
+                    for r in (0, 1)] for j in range(4)]
+        outcomes = []
+        for k in range(4):
+            terms = [(sum(inv_sqrt[j][k] * reading[j][r] for j in range(4)),
+                      sb * b) for r, sb in enumerate((1, -1))]
+            outcomes.append((terms, [[1, 1], [1, 1]]))
+        return _mp_statistics(outcomes, ("identity", "parity", "disp",
+                                         "parity_disp"), c_a, c_b, b)
+
+
+def mp_homodyne_statistics(c_a, c_b, gamma: float, alpha: float, beta: float,
+                           freqs, corrections):
+    """Exact-collapse probabilities and fidelities in 100 digits.
+
+    The three-mode state's terms come from the pi-point rule on the
+    frames: a free rotation by pi w flips a sign when w is odd, and the
+    cross-Kerr step takes |x>|y> to (|x>|y> + |-x>|y> + |x>|-y>
+    - |-x>|-y>)/2.  Sign pair (s_T, s_a), in (++, +-, -+, --) order, weighs
+    each term pair by the half-line elements of T and a, and takes its
+    correction from ``corrections`` (values, in the same order).
+    """
+    from catport.bell import frequency_row
+
+    def pi_point(state, m1, m2, row):
+        w1, w2 = (w % 2 for w in frequency_row(row))
+        out = {}
+        for signs, c in state.items():
+            signs = list(signs)
+            signs[m1] *= (-1) ** w1
+            signs[m2] *= (-1) ** w2
+            for p, q in itertools.product((1, -1), repeat=2):
+                new = list(signs)
+                new[m1] *= p
+                new[m2] *= q
+                key = tuple(new)
+                out[key] = out.get(key, 0) + c * (-1 if p == q == -1 else 1) / 2
+        return out
+
+    with mpmath.workdps(_DPS):
+        amps = [mpmath.mpf(x) for x in (gamma, alpha, beta)]
+        payload = _mp_payload(c_a, c_b, amps[0])
+        state = {(s, 1, 1): c for s, c in zip((1, -1), payload)}
+        state = pi_point(pi_point(state, 1, 2, freqs[0]), 0, 1, freqs[1])
+        terms = list(state.items())
+        outcomes = []
+        for s_t, s_a in _SIGN_PAIRS:
+            weights = [[_mp_half_line(sj[0] * amps[0], si[0] * amps[0], s_t)
+                        * _mp_half_line(sj[1] * amps[1], si[1] * amps[1], s_a)
+                        for si, _ in terms] for sj, _ in terms]
+            outcomes.append(([(c, s[2] * amps[2]) for s, c in terms], weights))
+        return _mp_statistics(outcomes, corrections, c_a, c_b, amps[2])

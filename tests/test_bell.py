@@ -95,6 +95,14 @@ class TestDynamics:
         assert got is label
         assert fidelity(state, make_quasi_bell(label, 1.0, 1.0)) > 1 - 1e-10
 
+    @pytest.mark.parametrize("amp", [1e16, 1e200])
+    def test_table_rows_at_large_amplitude(self, amp):
+        # the pi-point rotations are exact sign flips at any amplitude
+        for (wa, wb), label in FREQUENCY_TABLE.items():
+            state, _ = generate_from_dynamics(wa, wb, amp, amp)
+            f = fidelity(state, make_quasi_bell(label, amp, amp))
+            assert f == pytest.approx(1.0, abs=1e-12)
+
     def test_cross_check_with_number_basis_evolution(self):
         dim = truncation_rule(1.0)
         for (wa, wb), label in FREQUENCY_TABLE.items():

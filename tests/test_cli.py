@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from catport import cli
-from catport.cli import (_BELL_SCHEMA, _SWEEP_SCHEMA, _TELEPORT_SCHEMA,
-                         ConfigError, _take, build_parser, main,
-                         serialize_config)
+from catport.cli import (_SWEEP_SCHEMA, _TELEPORT_SCHEMA, ConfigError,
+                         _take, build_parser, main)
 from catport.reports import (FIDELITY_SWEEP_COLUMNS, loglog_slope,
                              rows_to_csv, sweep_fidelity_rows)
 
@@ -38,19 +41,6 @@ class TestConfigParsing:
     def test_bad_frequency_row(self):
         with pytest.raises(ConfigError, match="freqs"):
             _take({"freqs": [[3, 1], [2, 2]]}, _TELEPORT_SCHEMA)
-
-    def test_round_trip_is_identity(self):
-        raw = {"alpha": 2.0, "beta": 3.0, "gamma": 1.5,
-               "c_a": [0.6, 0.0], "c_b": [0.0, 0.8],
-               "path": "homodyne", "mode": "sample", "trials": 10,
-               "freqs": [[2, 2], [2, 1]], "collapse": "branch"}
-        cfg = _take(raw, _TELEPORT_SCHEMA)
-        again = _take(json.loads(serialize_config(cfg)), _TELEPORT_SCHEMA)
-        assert again == cfg
-
-    def test_bell_schema_round_trip(self):
-        cfg = _take({"alpha": 1.0}, _BELL_SCHEMA)
-        assert _take(json.loads(serialize_config(cfg)), _BELL_SCHEMA) == cfg
 
 
 class TestExitCodes:
@@ -113,6 +103,34 @@ class TestExitCodes:
         probs = [float(r["probability"]) for r in rows[:4]]
         assert all(math.isfinite(float(r["fidelity"])) for r in rows)
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("command, amp", [
+        ("teleport", 5e-4), ("homodyne", 1e-8), ("homodyne", 1e-12),
+        ("homodyne", 1e-100), ("homodyne", 1e-160), ("teleport", 1e-160)])
+    def test_small_amplitudes_print_probabilities_or_exit_1(
+            self, tmp_path, capsys, command, amp):
+        # an odd payload: below amplitude 1.1e-154 it is the zero state,
+        # which fails before any output; above, the numbers are exact
+        cfg, out = tmp_path / "cfg.json", tmp_path / "run.csv"
+        cfg.write_text(json.dumps({"alpha": amp, "beta": amp, "gamma": amp,
+                                   "c_a": 1.0, "c_b": -1.0}))
+        code = run_cli(command, "--config", str(cfg), "--out", str(out))
+        capsys.readouterr()
+        if amp < 1e-154:
+            assert code == 1 and not out.exists()
+            return
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        probs = [float(r["probability"]) for r in rows[:4]]
+        assert all(0.0 <= p <= 1.0 for p in probs)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("amp", [1e16, 1e200])
+    def test_bell_at_large_amplitude(self, tmp_path, capsys, amp):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": amp, "beta": amp}))
+        assert run_cli("bell", "--config", str(cfg)) == 0
+        assert "Psi-" in capsys.readouterr().err
 
     @pytest.mark.parametrize("settings, code", [
         ({"mode": "sample", "trials": 1e19}, 2),
@@ -295,3 +313,15 @@ class TestReportHelpers:
         for cmd in ("validate", "bell", "eigen", "teleport", "sweep",
                     "homodyne"):
             assert cmd in parser.format_help()
+
+
+def test_cli_import_loads_no_test_dependency():
+    # mpmath and pytest are test extras; a fresh interpreter that imports
+    # the CLI must not load them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, catport.cli; "
+            "print(sorted({'mpmath', 'pytest'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

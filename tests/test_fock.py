@@ -206,9 +206,3 @@ class TestFockVector:
     def test_dims_data_consistency(self):
         with pytest.raises(Exception):
             FockVector((3, 3), np.zeros(8))
-
-    def test_serialization_round_trip(self):
-        v = to_fock(CoherentSuperposition.coherent([0.5, -0.5]), (6, 7))
-        back = FockVector.from_dict(v.to_dict())
-        assert back.dims == v.dims
-        assert np.array_equal(back.data, v.data)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from catport.bell import (LABELS, BellLabel, QuasiBellSet,
 from catport.protocol import (CORRECTIONS, CorrectionLabel,
                               DegenerateBasisError, LowdinMeasurement,
                               TargetState, apply_correction,
-                              classical_baseline, correction_for_label,
-                              expand_initial, initial_state,
+                              classical_baseline, expand_initial,
+                              initial_state,
                               misclassification_probability,
                               run_teleport_homodyne, run_teleport_ideal,
                               correction_mu, three_mode_state)
@@ -21,10 +22,30 @@ from catport.protocol import (CORRECTIONS, CorrectionLabel,
 from oracles import (FRAME_TO_CAT, displacement_mat, frame_correction_grams,
                      frame_ideal_maps, frame_sign_corrections,
                      frame_sign_effects, frame_tensor, gaussian_negative_mass,
-                     half_line_element_quad, half_line_overlap, parity_mat,
+                     half_line_element_quad, half_line_overlap, ideal_bob,
+                     mp_homodyne_statistics, mp_ideal_statistics, parity_mat,
                      protocol_pipeline, term_pair_sign_statistics)
 
 S = FRAME_TO_CAT
+#: a sign pair's frame row on the measured cats of (T, a): frame
+#: coordinates are R c, frame effects read R^T H R on the cats
+R = np.kron(S, S) / 4
+
+
+def frame_maps(maps):
+    """The homodyne maps with the measured modes on their frames."""
+    return np.einsum("km,mby->kby", R, maps)
+
+
+def cat_effects(frame):
+    """Frame effects on the measured modes, read on their cats."""
+    return np.einsum("mk,jmn,nl->jkl", R, frame, R)
+
+
+def kron_effects(effects):
+    """The package's per-mode effects (A, B) as outcome 2s + t's effect
+    A[s] (x) B[t] on the measured index."""
+    return np.array([np.kron(a, b) for a in effects[0] for b in effects[1]])
 
 
 def coh(amp, coeff=1.0):
@@ -125,6 +146,14 @@ class TestExpandInitial:
         with pytest.raises(DegenerateBasisError):
             expand_initial(TargetState(1.0, 0.0, 5e-4), 5e-4, 1.0)
 
+    @pytest.mark.parametrize("gamma, alpha", [(1e-160, 2.0), (1e-55, 1e-100)])
+    def test_condition_overflow_raises_without_warning(self, gamma, alpha):
+        # (1e-55, 1e-100): the eigenvalue product is a nonzero subnormal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateBasisError, match="inf"):
+                expand_initial(TargetState(1.0, 0.0, gamma), alpha, 2.0)
+
     def test_random_cases_reconstruct(self):
         # the residual is the norm of the consolidated difference, whose
         # rounding floor sits far below the 1e-10 bound at every amplitude
@@ -207,9 +236,16 @@ class TestIdealRun:
             assert np.max(np.abs(got_f - f_o)) < 1e-8
             assert abs(run.average_fidelity - avg_o) < 1e-8
 
-    def test_degenerate_basis_rejected(self):
-        with pytest.raises(DegenerateBasisError):
-            run_teleport_ideal(TargetState(1.0, 0.0, 5e-4), 5e-4, 5e-4)
+    def test_small_amplitude_matches_mpmath_route(self):
+        # the Gram condition number here is 1.6e13: the ideal path has no
+        # amplitude gate, and its cat tables stay exact
+        for c_a, c_b in ((1.0, 0.0), (1.0, -1.0), (0.6, 0.8j)):
+            t = TargetState(c_a, c_b, 5e-4)
+            run = run_teleport_ideal(t, 5e-4, 5e-4)
+            probs, fids = mp_ideal_statistics(t.c_a, t.c_b, 5e-4, 5e-4, 5e-4)
+            got_f = [b.branch_fidelity for b in run.branches]
+            assert np.max(np.abs(run.probabilities() - probs)) < 1e-13
+            assert np.max(np.abs(np.array(got_f) - fids)) < 1e-13
 
     def test_frame_gram_matches_closed_form(self):
         grid = np.linspace(0.5, 6.0, 12)
@@ -239,7 +275,7 @@ class TestIdealRun:
         run = run_teleport_ideal(t, 3.0, 3.0, mode="sample", seed=7,
                                  trials=20000)
         p = run.probabilities()
-        emp = run.empirical_frequencies()
+        emp = np.array(run.counts) / sum(run.counts)
         sigma = np.sqrt(p * (1 - p) / 20000)
         assert np.all(np.abs(emp - p) <= 3 * sigma + 1e-12)
 
@@ -331,7 +367,7 @@ class TestHomodyne:
 
         def gaps(dim):
             psi = fock.to_fock(state, dim)
-            ideal = fock.to_fock(target.ideal_bob(amp), dim).data
+            ideal = fock.to_fock(ideal_bob(target, amp), dim).data
             corr = {CorrectionLabel.IDENTITY: np.eye(dim),
                     CorrectionLabel.PARITY: parity_mat(dim),
                     CorrectionLabel.DISP: 1j * displacement_mat(dim, mu),
@@ -431,13 +467,6 @@ class TestClassicalBaseline:
                                     trials=4000, seed=17)
         assert abs(fid - 0.5) < 0.03
 
-    def test_sampled_targets_mode_runs(self):
-        guess, fid = classical_baseline(TargetState(1.0, 0.0, 2.0), 2.0, 2.0,
-                                        trials=200, seed=23,
-                                        sample_targets=True)
-        assert abs(guess - 0.25) <= 5 * math.sqrt(0.25 * 0.75 / 200)
-        assert 0.0 <= fid <= 1.0
-
     def test_memory_does_not_grow_with_trials(self):
         # 10**12 per-trial draws would need terabytes; one multinomial
         # over the 16 (branch, guess) cells needs none of that
@@ -446,18 +475,47 @@ class TestClassicalBaseline:
         assert abs(guess - 0.25) < 1e-5
         assert 0.0 <= fid <= 1.0
 
-    def test_sampled_targets_build_one_measurement(self, monkeypatch):
-        calls = []
-        real = protocol._ideal_maps
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+def _assert_valid(run):
+    """Probabilities in [0, 1] summing to 1, fidelities in [0, 1]."""
+    probs = run.probabilities()
+    fids = np.array([b.branch_fidelity for b in run.branches])
+    assert np.all((probs >= 0.0) & (probs <= 1.0))
+    assert abs(probs.sum() - 1.0) < 1e-12
+    assert np.all((fids >= 0.0) & (fids <= 1.0 + 1e-12))
+    assert 0.0 <= run.average_fidelity <= 1.0 + 1e-12
 
-        monkeypatch.setattr(protocol, "_ideal_maps", counting)
-        classical_baseline(TargetState(1.0, 0.0, 2.0), 2.0, 2.0, trials=50,
-                           seed=3, sample_targets=True)
-        assert len(calls) == 1
+
+def test_mixed_amplitude_scales_stay_in_range():
+    # e.g. alpha = 1e-100 beside gamma = 30: a reading that cancels the
+    # payload's components leaves an exact zero, not rounding dust
+    # whose ratio prints as a fidelity of 1e82
+    amps = (1e-300, 1e-120, 1e-12, 0.5, 30.0)
+    for alpha, beta, gamma in itertools.product(amps, repeat=3):
+        for payload in ((1.0, 1.0), (1.0, 0.0), (0.6, 0.8j)):
+            target = TargetState(*payload, gamma)
+            _assert_valid(run_teleport_ideal(target, alpha, beta))
+            for collapse in ("exact", "branch"):
+                _assert_valid(run_teleport_homodyne(target, alpha, beta,
+                                                    collapse=collapse))
+
+
+def test_sampled_baseline_within_five_sigma_of_exact():
+    # the exact baseline: a branch with weight p_k and a correction drawn
+    # uniformly, so guesses are right at rate 1/4 and the mean fidelity
+    # is sum_k p_k mean_c F[k, c]
+    for i, (target, alpha, beta) in enumerate(_random_cases(505, 12)):
+        trials = 20000
+        chat = protocol._payload(target)
+        p, fmat = protocol._statistics(
+            protocol._ideal_maps(alpha, target.gamma) @ chat,
+            protocol._BRANCH_EFFECTS, chat, protocol._correction_grams(beta))
+        cells = np.repeat(p, 4) / 4
+        mean = float(cells @ fmat.ravel())
+        sigma = math.sqrt((cells @ fmat.ravel() ** 2 - mean ** 2) / trials)
+        guess, fid = classical_baseline(target, alpha, beta, trials, seed=i)
+        assert abs(fid - mean) <= 5 * sigma
+        assert abs(guess - 0.25) <= 5 * math.sqrt(0.25 * 0.75 / trials)
 
 
 _ENTRY_POINTS = {
@@ -556,10 +614,9 @@ class TestBranchMapsAgainstFullState:
                 QuasiBellSet.build(alpha, target.gamma))
             collapsed = meas.collapse(initial_state(target, alpha, beta),
                                       (1, 0))
-            ideal = target.ideal_bob(beta)
-            for br, lab, raw in zip(run.branches, LABELS, collapsed):
-                after = apply_correction(normalize(raw),
-                                         correction_for_label(lab), beta)
+            ideal = ideal_bob(target, beta)
+            for br, corr, raw in zip(run.branches, CORRECTIONS, collapsed):
+                after = apply_correction(normalize(raw), corr, beta)
                 assert abs(br.outcome.probability - norm(raw) ** 2) < 1e-12
                 assert abs(br.branch_fidelity - fidelity(after, ideal)) < 1e-12
                 assert fidelity(br.outcome.collapsed_bob, raw) > 1 - 1e-12
@@ -576,7 +633,7 @@ class TestBranchMapsAgainstFullState:
             comps = {pair: CoherentSuperposition(1, tuple(terms))
                      for pair, terms in groups.items()}
             total = sum(norm(c) ** 2 for c in comps.values())
-            ideal = target.ideal_bob(beta)
+            ideal = ideal_bob(target, beta)
             for br in run.branches:
                 comp = comps[_sign_pair(br.outcome.label)]
                 after = apply_correction(normalize(comp), br.correction, beta)
@@ -594,7 +651,7 @@ class TestBranchMapsAgainstFullState:
                        for br in run.branches}
             probs, fids = term_pair_sign_statistics(
                 three_mode_state(target, alpha, beta, freqs), mapping,
-                target.ideal_bob(beta), beta)
+                ideal_bob(target, beta), beta)
             got_f = [br.branch_fidelity for br in run.branches]
             assert np.max(np.abs(run.probabilities() - probs)) < 1e-12
             assert np.max(np.abs(np.array(got_f) - fids)) < 1e-12
@@ -643,7 +700,7 @@ class TestBranchMapsAgainstFullState:
         # the pi-point tables hold at every amplitude: both basis payloads'
         # symbolic three-mode states read back to the same 0, +-1/2 pattern
         _, maps = protocol._homodyne_maps(freqs)
-        probes = (S / 2 @ maps @ S).reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
+        probes = (S / 2 @ frame_maps(maps) @ S).reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
         rng = np.random.default_rng(sum(freqs[0] + freqs[1]))
         for alpha, beta, gamma in rng.uniform(0.6, 5.0, (4, 3)):
             frame = (gamma, alpha, beta)
@@ -671,14 +728,11 @@ class TestBranchMapsAgainstFullState:
         for collapse in ("exact", "branch"):
             run = run_teleport_homodyne(t, 2.0, 2.5, collapse=collapse)
             assert run.average_fidelity > 0
-        guess, _ = classical_baseline(t, 2.0, 2.5, trials=20, seed=1,
-                                      sample_targets=True)
+        guess, _ = classical_baseline(t, 2.0, 2.5, trials=20, seed=1)
         assert 0.0 <= guess <= 1.0
 
     @pytest.mark.parametrize("collapse", ["exact", "branch"])
     def test_tiny_amplitude_runs(self, collapse):
-        # no Gram matrix enters the homodyne path, so it runs where the
-        # ideal path's quadruple is degenerate
         amp = 1e-6
         run = run_teleport_homodyne(TargetState(0.6, 0.8j, amp), amp, amp,
                                     collapse=collapse)
@@ -690,25 +744,32 @@ class TestSignEffects:
                                               (1.5, 2.5), (3.0, 0.8)])
     def test_kronecker_of_closed_forms(self, gamma, alpha):
         # against the element-by-element half-line overlaps
-        want = frame_sign_effects(gamma, alpha)
-        got = protocol._sign_effects(gamma, alpha)
+        want = cat_effects(frame_sign_effects(gamma, alpha))
+        got = kron_effects(protocol._sign_effects(gamma, alpha))
         assert np.max(np.abs(got - want)) < 1e-15
 
     def test_branch_effects_are_the_large_amplitude_limit(self):
-        gaps = [np.max(np.abs(protocol._sign_effects(x, x)
-                              - protocol._BRANCH_EFFECTS))
-                for x in (1.0, 2.0, 3.0, 5.0)]
+        # the branch readout keeps one frame sign pair alone
+        bell = kron_effects(protocol._BRANCH_EFFECTS)
+        assert np.array_equal(bell, np.einsum("km,kn->kmn", np.eye(4),
+                                              np.eye(4)))
+        branch = kron_effects(protocol._BRANCH_SIGN_EFFECTS)
+        assert np.array_equal(branch, cat_effects(bell))
+        gaps = [np.max(np.abs(kron_effects(protocol._sign_effects(x, x))
+                              - branch)) for x in (1.0, 2.0, 3.0, 5.0)]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-12
-        assert np.max(np.abs(protocol._sign_effects(5.0, 7.0)
-                             - protocol._BRANCH_EFFECTS)) < 1e-12
+        assert np.max(np.abs(kron_effects(protocol._sign_effects(5.0, 7.0))
+                             - branch)) < 1e-12
 
 
 class TestFrameRoute:
     """The cat-coordinate tables against the frame route in oracles.
 
-    A frame map is (S/2) M S of the cat map M, a frame correction Gram C
-    is S C' S of the cat one C'.  The frame route loses digits to
+    A frame map is (S/2) M S of the cat map M (for the homodyne maps,
+    after R takes the measured modes to their frames), a frame
+    correction Gram C is S C' S of the cat one C', and a frame effect H
+    reads R^T H R on the cats.  The frame route loses digits to
     cancellation below amplitude 0.3.
     """
 
@@ -719,7 +780,8 @@ class TestFrameRoute:
         corrections, maps = protocol._homodyne_maps(freqs)
         want_corrections, want_maps = frame_sign_corrections(freqs)
         assert corrections == want_corrections
-        assert np.max(np.abs(S / 2 @ maps @ S - want_maps)) < 1e-13
+        assert np.max(np.abs(S / 2 @ frame_maps(maps) @ S
+                             - want_maps)) < 1e-13
 
     def test_ideal_maps(self):
         for alpha, beta, gamma in itertools.product(self.AMPS, repeat=3):
@@ -729,14 +791,75 @@ class TestFrameRoute:
 
     def test_sign_effects(self):
         for gamma, alpha in itertools.product(self.AMPS, repeat=2):
-            assert np.max(np.abs(protocol._sign_effects(gamma, alpha)
-                                 - frame_sign_effects(gamma, alpha))) < 1e-13
+            want = cat_effects(frame_sign_effects(gamma, alpha))
+            got = kron_effects(protocol._sign_effects(gamma, alpha))
+            assert np.max(np.abs(got - want)) < 1e-13
 
     def test_correction_grams(self):
         for beta in self.AMPS:
             want = S / 2 @ frame_correction_grams(beta) @ S / 2
             got = protocol._correction_grams(beta)
             assert np.max(np.abs(got - want)) < 1e-13
+
+
+_SMALL_AMPS = (0.5, 1e-2, 1e-5, 1e-8, 1e-12)
+_SMALL_PAYLOADS = ((1.0, 0.0), (1.0, -1.0), (0.6, 0.8j), (1.0, -1.0 + 1e-3))
+
+
+class TestSmallAmplitude:
+    """Every route against the 100-digit frame routes in oracles, with
+    alpha = beta = gamma down to 1e-12, where the frame's Gram matrices
+    are singular to double precision."""
+
+    @pytest.mark.parametrize("amp", _SMALL_AMPS)
+    @pytest.mark.parametrize("payload", _SMALL_PAYLOADS)
+    def test_ideal_path(self, amp, payload):
+        t = TargetState(*payload, amp)
+        run = run_teleport_ideal(t, amp, amp)
+        probs, fids = mp_ideal_statistics(t.c_a, t.c_b, amp, amp, amp)
+        got_f = [b.branch_fidelity for b in run.branches]
+        assert np.max(np.abs(run.probabilities() - probs)) < 1e-13
+        assert np.max(np.abs(np.array(got_f) - fids)) < 1e-13
+
+    @pytest.mark.parametrize("amp", _SMALL_AMPS)
+    @pytest.mark.parametrize("payload", _SMALL_PAYLOADS)
+    @pytest.mark.parametrize("freqs", [((2, 2), (2, 2)), ((1, 2), (2, 1))])
+    def test_exact_collapse(self, amp, payload, freqs):
+        t = TargetState(*payload, amp)
+        run = run_teleport_homodyne(t, amp, amp, freqs=freqs)
+        probs, fids = mp_homodyne_statistics(
+            t.c_a, t.c_b, amp, amp, amp, freqs,
+            [b.correction.value for b in run.branches])
+        got_f = [b.branch_fidelity for b in run.branches]
+        assert np.max(np.abs(run.probabilities() - probs)) < 1e-13
+        assert np.max(np.abs(np.array(got_f) - fids)) < 1e-13
+
+
+_TINY_ROUTES = {
+    "ideal": lambda t, amp: run_teleport_ideal(t, amp, amp),
+    "exact": lambda t, amp: run_teleport_homodyne(t, amp, amp),
+    "branch": lambda t, amp: run_teleport_homodyne(t, amp, amp,
+                                                   collapse="branch"),
+    "baseline": lambda t, amp: classical_baseline(t, amp, amp, trials=100),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_TINY_ROUTES))
+@pytest.mark.parametrize("payload", [(1.0, 1.0), (1.0, -1.0), (1.0, 0.0)],
+                         ids=["even", "odd", "mixed"])
+@pytest.mark.parametrize("amp", [1e-100, 1e-160, 1e-300])
+def test_tiny_amplitudes_give_numbers_or_refuse(route, payload, amp):
+    # below amplitude 1.1e-154 the odd cat's norm has no digits left, so
+    # an odd payload is the zero state; everything else gives numbers
+    target, run_route = TargetState(*payload, amp), _TINY_ROUTES[route]
+    if payload == (1.0, -1.0) and amp < 1e-154:
+        with pytest.raises(DegenerateStateError):
+            run_route(target, amp)
+        return
+    if route == "baseline":
+        assert all(0.0 <= x <= 1.0 for x in run_route(target, amp))
+        return
+    _assert_valid(run_route(target, amp))
 
 
 def _nudged(weights, rng, ulps=4):
