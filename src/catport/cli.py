@@ -11,8 +11,10 @@ that draw random numbers (teleport, homodyne).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -182,9 +184,12 @@ _EIGEN_SCHEMA = {
 def _emit(payload: str, out: str | None):
     if out is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _emit_rows(rows, columns, args):
@@ -300,6 +305,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catport",
@@ -352,9 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
+        # refused before any work, and without creating or truncating it
+        if out is not None and (os.path.isdir(out) or not os.path.isdir(
+                os.path.dirname(out) or ".")):
+            raise ConfigError(f"cannot write {out}: not a file path in an "
+                              "existing directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

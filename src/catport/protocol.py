@@ -41,7 +41,9 @@ modes: the projector on one outcome index for the Bell measurement, and
 for a sign pair the Kronecker product of the half-line matrices
 <x_i|Theta(s X)|x_j> on the measured modes' cats, [[1 + e, s q],
 [s q, 1 - e]]/4 with q = erf(sqrt(2) x) = 1 - 2m.  The frame enters only
-where a sign pair's record is written.  The Bell measurement and the
+in the records, which keep the receiver's frame 2-vector: no run builds
+a symbolic state, and a record builds its collapsed and corrected states
+when they are read, as a JSON record does.  The Bell measurement and the
 exact collapse are both complete on the payload's span, so a run's
 inconclusive_rate is the rounding defect max(0, 1 - sum p).
 """
@@ -397,24 +399,41 @@ def _multinomial(rng, n: int, weights) -> np.ndarray:
 # Protocol records
 # ---------------------------------------------------------------------------
 
+def _receiver_state(frame, beta: float):
+    """(v0|beta> + v1|-beta> normalized, True) for frame = (v0, v1), or
+    (the zero state, False) when the branch vanished."""
+    raw = CoherentSuperposition(1, ((frame[0], (beta,)), (frame[1], (-beta,))))
+    return (normalize(raw), True) if norm(raw) > 0 else (raw, False)
+
+
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    """One Bell (or sign-pair) outcome and its collapsed remote state."""
+    """One Bell (or sign-pair) outcome and the receiver's frame 2-vector."""
 
     label: str
     eigen_bits: tuple | None
     probability: float
-    collapsed_bob: CoherentSuperposition
+    frame: tuple
+    beta: float
+
+    @property
+    def collapsed_bob(self) -> CoherentSuperposition:
+        return _receiver_state(self.frame, self.beta)[0]
 
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """Per-branch record: outcome, applied correction, final state, fidelity."""
+    """Per-branch record: outcome, applied correction, fidelity."""
 
     outcome: MeasurementOutcome
     correction: CorrectionLabel
-    bob_after: CoherentSuperposition
     branch_fidelity: float
+
+    @property
+    def bob_after(self) -> CoherentSuperposition:
+        beta = self.outcome.beta
+        bob, nonzero = _receiver_state(self.outcome.frame, beta)
+        return apply_correction(bob, self.correction, beta) if nonzero else bob
 
 
 @dataclass(frozen=True)
@@ -472,17 +491,13 @@ def _build_run(path: str, target: TargetState, alpha: float, beta: float,
     probs = [float(p) for p in probs]
     fids = [float(fids[k, CORRECTIONS.index(c)])
             for k, c in enumerate(corrections)]
-    branches = []
     # the records hold the receiver's frame coordinates S v / 2
-    frame = (comps if rows is None else rows @ comps) @ _S / 2
-    for (label, bits), corr, v, p, f in zip(outcomes, corrections, frame,
-                                            probs, fids):
-        raw = CoherentSuperposition(1, ((v[0], (beta,)), (v[1], (-beta,))))
-        nonzero = norm(raw) > 0
-        bob = normalize(raw) if nonzero else raw
-        after = apply_correction(bob, corr, beta) if nonzero else bob
-        outcome = MeasurementOutcome(label, bits, p, bob)
-        branches.append(ProtocolResult(outcome, corr, after, f))
+    frame = ((comps if rows is None else rows @ comps) @ _S / 2).tolist()
+    branches = [
+        ProtocolResult(MeasurementOutcome(label, bits, p, tuple(v), beta),
+                       corr, f)
+        for (label, bits), corr, v, p, f in zip(outcomes, corrections, frame,
+                                                probs, fids)]
     counts = None
     if mode == "sample":
         rng = np.random.default_rng(seed)

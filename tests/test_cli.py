@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from catport import cli
+from catport.algebra import CoherentSuperposition
 from catport.cli import (_SWEEP_SCHEMA, _TELEPORT_SCHEMA, ConfigError,
                          _take, build_parser, main)
 from catport.reports import (FIDELITY_SWEEP_COLUMNS, loglog_slope,
@@ -168,6 +169,32 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["teleport", "homodyne", "bell",
+                                         "eigen", "sweep"])
+    @pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+    def test_unusable_out_is_a_config_error_before_running(
+            self, tmp_path, capsys, monkeypatch, command, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran despite an unusable --out")
+
+        monkeypatch.setattr(cli, "_run_protocol", refuse)
+        monkeypatch.setattr(cli, "_load_config", refuse)
+        out = {"missing-dir": tmp_path / "no-dir" / "x.csv",
+               "is-dir": tmp_path}[where]
+        assert run_cli(command, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str(out) in err
+        assert not (tmp_path / "no-dir").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that fails every write")
+    def test_write_failure_is_a_config_error(self, capsys):
+        assert run_cli("teleport", "--out", "/dev/full") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write /dev/full")
+        assert err.count("\n") == 1
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         cfg.write_text('{"kind": "fidelity", "grid": []}')
@@ -239,6 +266,28 @@ class TestTeleportCommand:
             p = br["probability"]
             sigma = (p * (1 - p) / n) ** 0.5
             assert abs(count / n - p) <= 3 * sigma + 1e-12
+
+    @pytest.mark.parametrize("settings", [
+        {}, {"path": "homodyne"}, {"path": "homodyne", "collapse": "branch"}],
+        ids=["ideal", "exact", "branch"])
+    def test_only_json_builds_states(self, tmp_path, capsys, monkeypatch,
+                                     settings):
+        # a CSV record is all numbers; the JSON record builds the states
+        calls = []
+        real = CoherentSuperposition.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            real(self)
+        monkeypatch.setattr(CoherentSuperposition, "__post_init__", counting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(settings, baseline_trials=100)))
+        assert run_cli("teleport", "--config", str(cfg)) == 0
+        assert not calls
+        assert run_cli("teleport", "--config", str(cfg),
+                       "--format", "json") == 0
+        assert calls
+        capsys.readouterr()
 
 
 class TestSweepCommand:
@@ -313,6 +362,14 @@ class TestReportHelpers:
         for cmd in ("validate", "bell", "eigen", "teleport", "sweep",
                     "homodyne"):
             assert cmd in parser.format_help()
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        assert build_parser() is build_parser()
+        assert run_cli("teleport", "--seed", "5", "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+        assert run_cli("teleport") == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert rows and all(r["seed"] == "0" for r in rows)
 
 
 def test_cli_import_loads_no_test_dependency():
