@@ -23,9 +23,8 @@ from .fock import (DynamicsParams, FockVector, evolve, fock_displacement,
 from .protocol import (CorrectionLabel, DegenerateBasisError,
                        LowdinMeasurement, MeasurementOutcome, ProtocolResult,
                        ProtocolRun, TargetState, apply_correction,
-                       classical_baseline, expand_initial,
-                       misclassification_probability, run_teleport_homodyne,
-                       run_teleport_ideal)
+                       classical_baseline, misclassification_probability,
+                       run_teleport_homodyne, run_teleport_ideal)
 
 __all__ = [
     "__version__",
@@ -40,7 +39,6 @@ __all__ = [
     "truncation_rule",
     "CorrectionLabel", "DegenerateBasisError", "LowdinMeasurement",
     "MeasurementOutcome", "ProtocolResult", "ProtocolRun", "TargetState",
-    "apply_correction", "classical_baseline", "expand_initial",
-    "misclassification_probability", "run_teleport_homodyne",
-    "run_teleport_ideal",
+    "apply_correction", "classical_baseline", "misclassification_probability",
+    "run_teleport_homodyne", "run_teleport_ideal",
 ]

@@ -152,10 +152,6 @@ class CoherentSuperposition:
         amps = tuple(_as_complex(a) for a in amps)
         return cls(len(amps), (CoherentTerm(coeff, amps),))
 
-    @classmethod
-    def vacuum(cls, num_modes: int = 1) -> "CoherentSuperposition":
-        return cls.coherent((0.0,) * num_modes)
-
     # -- linear structure --------------------------------------------------
 
     def scaled(self, factor) -> "CoherentSuperposition":
@@ -163,11 +159,6 @@ class CoherentSuperposition:
         return CoherentSuperposition(
             self.num_modes,
             tuple(CoherentTerm(factor * t.coeff, t.amps) for t in self.terms))
-
-    def __mul__(self, factor):
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
 
     def __add__(self, other: "CoherentSuperposition") -> "CoherentSuperposition":
         if self.num_modes != other.num_modes:
@@ -268,15 +259,6 @@ class CoherentSuperposition:
                 for t in self.terms
             ],
         }
-
-    def __str__(self):
-        def fmt(z):
-            return f"({z.real:.6g}{z.imag:+.6g}j)"
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            fmt(t.coeff) + "|" + ",".join(fmt(a) for a in t.amps) + ">"
-            for t in self.terms)
 
 
 # -- inner products ----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command-line experiment harness.
 
 Subcommands: validate | bell | eigen | teleport | sweep | homodyne.
-Experiment parameters come from a strict JSON config (--config); unknown
-keys are rejected so a typo can never silently change a sweep.  Run
+Experiment parameters come from a strict JSON config (--config): unknown
+keys are rejected, and so are teleport keys that the run's path or mode
+would not read, so a typo can never silently change an experiment.  Run
 control lives on flags: --out, --format, and --seed on the two commands
 that draw random numbers (teleport, homodyne).  Exit codes:
 0 success, 1 a validation/check failure, 2 a config error.
@@ -19,7 +20,7 @@ import sys
 
 from . import __version__
 from .algebra import gram_matrix
-from .bell import (FREQUENCY_TABLE, LABELS, BellLabel, frequency_row,
+from .bell import (FREQUENCY_TABLE, LABELS, frequency_row,
                    generate_from_dynamics, gram_closed_form, make_quasi_bell)
 from .checks import run_checks
 from .protocol import (MAX_TRIALS, TargetState, classical_baseline,
@@ -158,15 +159,10 @@ _TELEPORT_SCHEMA = {
 }
 
 _SWEEP_SCHEMA = {
-    "kind": (_choice("fidelity", "eigen"), "fidelity"),
     "grid": (_grid, _REQUIRED),
     "c_a": (_complex_field, complex(1.0)),
     "c_b": (_complex_field, complex(0.0)),
     "path": (_choice("ideal", "homodyne"), "ideal"),
-    "operator": (_choice("PbDa", "PaDb"), "PbDa"),
-    "label": (_choice(*[lab.value for lab in LABELS]), "Phi+"),
-    "n": (_nonneg_int, 0),
-    "m": (_nonneg_int, 0),
 }
 
 _BELL_SCHEMA = {
@@ -264,9 +260,17 @@ def _run_protocol(cfg, args):
 
 
 def cmd_teleport(args, force_path=None) -> int:
-    cfg = _take(_load_config(args.config), _TELEPORT_SCHEMA)
+    given = _load_config(args.config)
+    cfg = _take(given, _TELEPORT_SCHEMA)
     if force_path is not None:
         cfg["path"] = force_path
+    # a key that this run would not read is refused like an unknown one
+    unread = sorted(set(given) & (
+        ({"collapse", "freqs"} if cfg["path"] == "ideal" else set())
+        | ({"trials"} if cfg["mode"] == "enumerate" else set())))
+    if unread:
+        raise ConfigError(f"config key(s) {', '.join(unread)} do not apply "
+                          f"to path '{cfg['path']}', mode '{cfg['mode']}'")
     run = _run_protocol(cfg, args)
     baseline = None
     if cfg["baseline_trials"]:
@@ -293,15 +297,9 @@ def cmd_teleport(args, force_path=None) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _take(_load_config(args.config), _SWEEP_SCHEMA)
-    if cfg["kind"] == "eigen":
-        rows = sweep_eigen_rows(cfg["grid"], operator=cfg["operator"],
-                                label=BellLabel(cfg["label"]), n=cfg["n"],
-                                m=cfg["m"])
-        _emit_rows(rows, EIGEN_SWEEP_COLUMNS, args)
-    else:
-        rows = sweep_fidelity_rows(cfg["grid"], c_a=cfg["c_a"],
-                                   c_b=cfg["c_b"], path=cfg["path"])
-        _emit_rows(rows, FIDELITY_SWEEP_COLUMNS, args)
+    rows = sweep_fidelity_rows(cfg["grid"], c_a=cfg["c_a"], c_b=cfg["c_b"],
+                               path=cfg["path"])
+    _emit_rows(rows, FIDELITY_SWEEP_COLUMNS, args)
     return EXIT_OK
 
 

@@ -42,16 +42,18 @@ for a sign pair the Kronecker product of the half-line matrices
 <x_i|Theta(s X)|x_j> on the measured modes' cats, [[1 + e, s q],
 [s q, 1 - e]]/4 with q = erf(sqrt(2) x) = 1 - 2m.  The frame enters only
 in the records, which keep the receiver's frame 2-vector: no run builds
-a symbolic state, and a record builds its collapsed and corrected states
-when they are read, as a JSON record does.  The Bell measurement and the
-exact collapse are both complete on the payload's span, so a run's
-inconclusive_rate is the rounding defect max(0, 1 - sum p).
+a symbolic state, and a record builds its collapsed state once, when it
+is first read (as a JSON record does), and corrects that state.  The
+Bell measurement and the exact collapse are both complete on the
+payload's span, so a run's inconclusive_rate is the rounding defect
+max(0, 1 - sum p).
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -59,10 +61,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (CoherentSuperposition, DegenerateStateError, _kernel,
-                      norm, normalize, overlap, partial_overlap, tensor)
-from .bell import (FRAME_COEFFS, LABELS, BellLabel, QuasiBellSet, _pi_point,
-                   frequency_row, generate_from_dynamics, make_quasi_bell,
-                   measurement_bits)
+                      norm, normalize, partial_overlap, tensor)
+# not called here: perfbench/selftest.py checks that the benchmark's tracer
+# rebinds algebra.overlap in this module too (ROADMAP item 1)
+from .algebra import overlap  # noqa: F401
+from .bell import (FRAME_COEFFS, LABELS, QuasiBellSet, _pi_point,
+                   frequency_row, generate_from_dynamics, measurement_bits)
 
 __all__ = [
     "DegenerateBasisError",
@@ -70,7 +74,6 @@ __all__ = [
     "CorrectionLabel",
     "apply_correction",
     "LowdinMeasurement",
-    "expand_initial",
     "MeasurementOutcome",
     "ProtocolResult",
     "ProtocolRun",
@@ -132,9 +135,6 @@ class CorrectionLabel(enum.Enum):
     PARITY = "parity"
     DISP = "disp"
     PARITY_DISP = "parity_disp"
-
-    def __str__(self):
-        return self.value
 
 
 #: each Bell outcome's correction, in LABELS order
@@ -215,21 +215,9 @@ class LowdinMeasurement:
             vectors.append(acc)
         return cls(qset.alpha, qset.beta, tuple(vectors), cond)
 
-    def probabilities(self, state: CoherentSuperposition) -> tuple[np.ndarray, float]:
-        """Outcome probabilities (4,) plus the inconclusive weight."""
-        p = np.array([abs(overlap(v, state)) ** 2 for v in self.vectors])
-        return p, max(0.0, 1.0 - float(p.sum()))
-
     def collapse(self, state: CoherentSuperposition, ket_modes):
         """Unnormalized post-measurement remote states, one per outcome."""
         return [partial_overlap(v, state, ket_modes) for v in self.vectors]
-
-
-def initial_state(target: TargetState, alpha: float,
-                  beta: float) -> CoherentSuperposition:
-    """Payload (x) channel on modes (T, a, b); exactly normalized."""
-    return tensor(target.realized(),
-                  make_quasi_bell(BellLabel.PHI_PLUS, alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -266,55 +254,6 @@ def _payload(target: TargetState) -> np.ndarray:
     if not norm2 > 0.0:
         raise DegenerateStateError("cannot normalize a zero-norm state")
     return chat / math.sqrt(norm2)
-
-
-def _check_gram(alpha: float, gamma: float) -> float:
-    """The quadruple's Gram condition number on (a, T), exact: its
-    eigenvalues are (1 +- e_alpha)(1 +- e_gamma).
-
-    Raises:
-        DegenerateBasisError: the condition number exceeds
-            GRAM_CONDITION_LIMIT.
-    """
-    # Python floats: an overflowing ratio is inf, with no numpy warning
-    (pa, ma), (pg, mg) = (_cat_norms2(x).tolist() for x in (alpha, gamma))
-    cond = pa * pg / (ma * mg) if ma * mg > 0.0 else math.inf
-    if cond > GRAM_CONDITION_LIMIT:
-        raise DegenerateBasisError(f"Gram condition number {cond:.3g} "
-                                   f"exceeds {GRAM_CONDITION_LIMIT:.0e}")
-    return cond
-
-
-def expand_initial(target: TargetState, alpha: float, beta: float):
-    """Exact quadruple decomposition of the joint initial state.
-
-    Returns a list of (label, receiver_component, coefficient) with the
-    component normalized (the zero state when a branch vanishes), such
-    that sum_k coeff_k |B_k>_{aT} (x) |component_k>_b reconstructs the
-    joint state; the reconstruction residual is checked below 1e-10.
-
-    Raises:
-        DegenerateBasisError: measurement Gram too ill-conditioned.
-    """
-    _check_inputs(alpha, beta)
-    _check_gram(alpha, target.gamma)
-    # the joint state's (a, T) frame coefficients split over the
-    # quadruple's sign tables, which are orthonormal: project on them
-    coords = np.einsum("kat,t,ar->kr", FRAME_COEFFS,
-                       _S @ _payload(target) / 2, FRAME_COEFFS[0])
-    out = []
-    diff = initial_state(target, alpha, beta)
-    for lab, (cb, cmb) in zip(LABELS, coords):
-        comp = CoherentSuperposition(1, ((cb, (beta,)), (cmb, (-beta,))))
-        c = norm(comp)
-        out.append((lab, comp.scaled(1.0 / c) if c > 0 else comp, c))
-        diff = diff - tensor(make_quasi_bell(lab, alpha, target.gamma),
-                             comp).permute_modes((1, 0, 2))
-    resid = norm(diff)  # consolidation has cancelled the coefficients
-    if resid > 1e-10:
-        raise AssertionError("quadruple expansion failed to reconstruct "
-                             f"the joint state (residual {resid})")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +338,6 @@ def _multinomial(rng, n: int, weights) -> np.ndarray:
 # Protocol records
 # ---------------------------------------------------------------------------
 
-def _receiver_state(frame, beta: float):
-    """(v0|beta> + v1|-beta> normalized, True) for frame = (v0, v1), or
-    (the zero state, False) when the branch vanished."""
-    raw = CoherentSuperposition(1, ((frame[0], (beta,)), (frame[1], (-beta,))))
-    return (normalize(raw), True) if norm(raw) > 0 else (raw, False)
-
-
 @dataclass(frozen=True)
 class MeasurementOutcome:
     """One Bell (or sign-pair) outcome and the receiver's frame 2-vector."""
@@ -416,9 +348,19 @@ class MeasurementOutcome:
     frame: tuple
     beta: float
 
+    @functools.cached_property
+    def _receiver(self):
+        """(v0|beta> + v1|-beta> normalized, True) for frame = (v0, v1), or
+        (the zero state, False) when the branch vanished; built once, when
+        first read."""
+        v0, v1 = self.frame
+        raw = CoherentSuperposition(1, ((v0, (self.beta,)),
+                                        (v1, (-self.beta,))))
+        return (normalize(raw), True) if norm(raw) > 0 else (raw, False)
+
     @property
     def collapsed_bob(self) -> CoherentSuperposition:
-        return _receiver_state(self.frame, self.beta)[0]
+        return self._receiver[0]
 
 
 @dataclass(frozen=True)
@@ -431,9 +373,9 @@ class ProtocolResult:
 
     @property
     def bob_after(self) -> CoherentSuperposition:
-        beta = self.outcome.beta
-        bob, nonzero = _receiver_state(self.outcome.frame, beta)
-        return apply_correction(bob, self.correction, beta) if nonzero else bob
+        bob, nonzero = self.outcome._receiver
+        return (apply_correction(bob, self.correction, self.outcome.beta)
+                if nonzero else bob)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ independently, so that every dual-route assertion really has two routes.
 The exceptions check frame reductions, not the kernels, so they work
 on the algebra's symbolic states: ``frame_tensor`` reads a state back
 into frame coefficients, ``ideal_bob`` builds the reference receiver
-state, ``term_pair_sign_statistics`` reuses the algebra's kernels on the
+state, ``initial_state`` and ``expand_initial`` build the ideal path's
+joint state and its bracketed-form decomposition over the quadruple,
+``term_pair_sign_statistics`` reuses the algebra's kernels on the
 full symbolic three-mode state, and the frame route below rebuilds the
 protocol's tables on the coherent frames {|x>, |-x>} the way the package
 did before it moved to cat coordinates: an eigendecomposition Lowdin
@@ -237,6 +239,46 @@ def ideal_bob(target, beta: float):
 
     return normalize(CoherentSuperposition.coherent([beta], target.c_a)
                      + CoherentSuperposition.coherent([-beta], target.c_b))
+
+
+def initial_state(target, alpha: float, beta: float):
+    """Payload (x) Phi+ channel on modes (T, a, b); exactly normalized."""
+    from catport.algebra import tensor
+    from catport.bell import BellLabel, make_quasi_bell
+
+    return tensor(target.realized(),
+                  make_quasi_bell(BellLabel.PHI_PLUS, alpha, beta))
+
+
+def expand_initial(target, alpha: float, beta: float, signs=None):
+    """The bracketed-form identity: the joint initial state equals
+    sum_k coeff_k |B_k>_{aT} (x) |component_k>_b over the quadruple.
+
+    Returns (label, component, coeff) per quadruple member, the component
+    normalized (the zero state when a branch vanishes).  The joint state's
+    (a, T) frame coefficients are projected on the sign tables ``signs``
+    (bell.FRAME_COEFFS by default, orthonormal), and the symbolic sum is
+    checked to reconstruct the joint state below 1e-10.
+    """
+    from catport import bell
+    from catport.algebra import CoherentSuperposition, norm, tensor
+
+    signs = bell.FRAME_COEFFS if signs is None else signs
+    joint = initial_state(target, alpha, beta)
+    coords = np.einsum("kat,tab->kb", signs,
+                       frame_tensor(joint, (target.gamma, alpha, beta)))
+    out, diff = [], joint
+    for lab, (cb, cmb) in zip(bell.LABELS, coords):
+        comp = CoherentSuperposition(1, ((cb, (beta,)), (cmb, (-beta,))))
+        c = norm(comp)
+        out.append((lab, comp.scaled(1.0 / c) if c > 0 else comp, c))
+        diff = diff - tensor(bell.make_quasi_bell(lab, alpha, target.gamma),
+                             comp).permute_modes((1, 0, 2))
+    resid = norm(diff)  # consolidation has cancelled the coefficients
+    if resid > 1e-10:
+        raise AssertionError("quadruple expansion failed to reconstruct "
+                             f"the joint state (residual {resid})")
+    return out
 
 
 def term_pair_sign_statistics(state, mapping, ideal, beta):

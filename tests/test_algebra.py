@@ -120,7 +120,7 @@ class TestDisplacement:
 
 class TestParity:
     def test_vacuum_fixed_point(self):
-        v = CoherentSuperposition.vacuum()
+        v = CoherentSuperposition.coherent([0.0])
         assert v.parity(0) == v
 
     def test_flips_amplitude(self):
@@ -250,7 +250,7 @@ class TestFidelity:
     def test_zero_norm_rejected(self):
         z = CoherentSuperposition(1, ((1.0, (0.2,)), (-1.0, (0.2,))))
         with pytest.raises(DegenerateStateError):
-            fidelity(z, CoherentSuperposition.vacuum())
+            fidelity(z, CoherentSuperposition.coherent([0.0]))
 
 
 class TestConsolidation:

@@ -86,6 +86,34 @@ class TestExitCodes:
         assert run_cli("teleport", "--config", str(cfg)) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings, keys", [
+        ({"collapse": "branch"}, "collapse"),
+        ({"path": "ideal", "collapse": "branch", "freqs": [[1, 1], [2, 2]]},
+         "collapse, freqs"),
+        ({"trials": 10}, "trials"),
+        ({"path": "homodyne", "mode": "enumerate", "trials": 10}, "trials"),
+    ], ids=["collapse", "collapse-freqs", "trials", "homodyne-trials"])
+    def test_unread_key_is_config_error_before_running(
+            self, tmp_path, capsys, monkeypatch, settings, keys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("protocol ran with a key it does not read")
+
+        monkeypatch.setattr(cli, "_run_protocol", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        assert run_cli("teleport", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key(s) {keys} ")
+        assert err.count("\n") == 1
+
+    def test_homodyne_reads_its_keys_whatever_the_path(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"path": "ideal", "collapse": "branch",
+                                   "freqs": [[1, 1], [2, 2]]}))
+        assert run_cli("homodyne", "--config", str(cfg)) == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("c_a, c_b", [(1e200, 1e200), (1e-200, 0)])
     def test_extreme_coefficients_run(self, tmp_path, capsys, c_a, c_b):
         cfg = tmp_path / "cfg.json"
@@ -197,7 +225,7 @@ class TestExitCodes:
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
-        cfg.write_text('{"kind": "fidelity", "grid": []}')
+        cfg.write_text('{"grid": []}')
         assert run_cli("sweep", "--config", str(cfg)) == 2
         assert "grid" in capsys.readouterr().err
 
@@ -293,7 +321,7 @@ class TestTeleportCommand:
 class TestSweepCommand:
     def test_fidelity_sweep_slope_column(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "fidelity", "grid": [2, 4, 8]}))
+        cfg.write_text(json.dumps({"grid": [2, 4, 8]}))
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 0
         lines = out.read_text().splitlines()
@@ -307,16 +335,25 @@ class TestSweepCommand:
         assert -2.2 < slope < -1.8
 
     def test_eigen_sweep_slope(self, tmp_path):
+        # the amplitude sweep of the eigen residuals is `catport eigen`
+        out = tmp_path / "eigen.csv"
+        assert run_cli("eigen", "--out", str(out)) == 0
+        blocks = {}
+        for row in csv.DictReader(out.read_text().splitlines()):
+            blocks.setdefault((row["operator"], row["label"]), []).append(row)
+        assert len(blocks) == 8
+        for rows in blocks.values():
+            assert [float(r["alpha"]) for r in rows] == [4.0, 8.0, 16.0, 32.0]
+            assert all(abs(float(r["slope"]) + 2.0) < 0.1 for r in rows)
+
+    @pytest.mark.parametrize("extra", [{"kind": "eigen"},
+                                       {"operator": "PaDb"}],
+                             ids=["kind", "operator"])
+    def test_eigen_keys_rejected(self, tmp_path, capsys, extra):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "eigen",
-                                   "grid": [4, 8, 16, 32]}))
-        out = tmp_path / "sweep.csv"
-        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 5
-        scol = lines[0].split(",").index("slope")
-        slope = float(lines[1].split(",")[scol])
-        assert abs(slope + 2.0) < 0.1
+        cfg.write_text(json.dumps(dict(extra, grid=[2, 4])))
+        assert run_cli("sweep", "--config", str(cfg)) == 2
+        assert next(iter(extra)) in capsys.readouterr().err
 
     def test_sweep_rows_carry_no_seed(self):
         rows = sweep_fidelity_rows([2.0, 4.0])

@@ -36,7 +36,7 @@ class TestTruncationRule:
 
 class TestToFock:
     def test_vacuum_is_unit_basis_vector(self):
-        v = to_fock(CoherentSuperposition.vacuum(), 8)
+        v = to_fock(CoherentSuperposition.coherent([0.0]), 8)
         want = np.zeros(8)
         want[0] = 1.0
         assert np.allclose(v.data, want, atol=1e-15)
