@@ -317,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"{value} is not in [0, 2**64)")
         return value
 
-    def common(p, seeded=False):
+    def command(name, text, func, seeded=False):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
         p.add_argument("--config", metavar="PATH",
                        help="JSON experiment config (strict keys)")
         if seeded:
@@ -333,25 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the deliberately corrupted negative control")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("bell", help="quadruple Gram table and frequency rows")
-    common(p)
-    p.set_defaults(func=cmd_bell)
-
-    p = sub.add_parser("eigen", help="joint-eigenvalue residual table")
-    common(p)
-    p.set_defaults(func=cmd_eigen)
-
-    p = sub.add_parser("teleport", help="run the protocol once")
-    common(p, seeded=True)
-    p.set_defaults(func=cmd_teleport)
-
-    p = sub.add_parser("homodyne", help="teleport via the sign-readout path")
-    common(p, seeded=True)
-    p.set_defaults(func=lambda a: cmd_teleport(a, force_path="homodyne"))
-
-    p = sub.add_parser("sweep", help="grid sweeps with fitted slopes")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    command("bell", "quadruple Gram table and frequency rows", cmd_bell)
+    command("eigen", "joint-eigenvalue residual table", cmd_eigen)
+    command("teleport", "run the protocol once", cmd_teleport, seeded=True)
+    command("homodyne", "teleport via the sign-readout path",
+            lambda a: cmd_teleport(a, force_path="homodyne"), seeded=True)
+    command("sweep", "grid sweeps with fitted slopes", cmd_sweep)
     return parser
 
 

@@ -40,13 +40,15 @@ correction's fidelity, given each outcome's effect on the measured
 modes: the projector on one outcome index for the Bell measurement, and
 for a sign pair the Kronecker product of the half-line matrices
 <x_i|Theta(s X)|x_j> on the measured modes' cats, [[1 + e, s q],
-[s q, 1 - e]]/4 with q = erf(sqrt(2) x) = 1 - 2m.  The frame enters only
-in the records, which keep the receiver's frame 2-vector: no run builds
-a symbolic state, and a record builds its collapsed state once, when it
-is first read (as a JSON record does), and corrects that state.  The
-Bell measurement and the exact collapse are both complete on the
-payload's span, so a run's inconclusive_rate is the rounding defect
-max(0, 1 - sum p).
+[s q, 1 - e]]/4 with q = erf(sqrt(2) x) = 1 - 2m.  The kernel is plain
+complex arithmetic (numpy only draws seeded counts), reading the weight
+and every fidelity off one 2x2 Hermitian matrix per outcome.  The frame
+enters only in the records, which keep the receiver's frame 2-vector:
+no run builds a symbolic state, and a record builds its collapsed state
+once, when it is first read (as a JSON record does), and corrects that
+state.  The Bell measurement and the exact collapse are both complete
+on the payload's span, so a run's inconclusive_rate is the rounding
+defect max(0, 1 - sum p).
 """
 
 from __future__ import annotations
@@ -137,9 +139,10 @@ class CorrectionLabel(enum.Enum):
     PARITY_DISP = "parity_disp"
 
 
-#: each Bell outcome's correction, in LABELS order
+#: per Bell outcome, in LABELS order: its correction and (label, eigen_bits)
 CORRECTIONS = (CorrectionLabel.IDENTITY, CorrectionLabel.PARITY,
                CorrectionLabel.DISP, CorrectionLabel.PARITY_DISP)
+_BELL_OUTCOMES = tuple((lab.value, measurement_bits(lab)) for lab in LABELS)
 
 
 def correction_mu(beta: float) -> complex:
@@ -226,53 +229,55 @@ class LowdinMeasurement:
 
 #: the frame-to-cat map: c_a|x> + c_b|-x> = sum_i (S c)_i |x_i>, with
 #: |x_0> and |x_1> the even and odd cats; S^2 = 2, so S/2 maps back
-_S = np.array([[1.0, 1.0], [1.0, -1.0]])
-_S.setflags(write=False)
+_S = ((1.0, 1.0), (1.0, -1.0))
 
 #: the Lowdin-orthogonalized quadruple on the normalized cats of (a, T):
 #: W_k = S FRAME_COEFFS[k] S / 2, orthonormal and the same at every
 #: amplitude, because the cats diagonalize both frame Gram matrices
-_BELL_CATS = _S @ FRAME_COEFFS @ _S / 2
-_BELL_CATS.setflags(write=False)
+_BELL_CATS = (np.array(_S) @ FRAME_COEFFS @ _S / 2).tolist()
 
 
-def _cat_norms2(x: float) -> np.ndarray:
+def _cat_norms2(x: float) -> tuple[float, float]:
     """<x_+|x_+>, <x_-|x_->: (1 + e, 1 - e)/2 with e = e^{-2x^2}.
 
     Below the normal floats (x < 1.1e-154) 1 - e keeps no digits, so the
     odd cat counts as the zero state.
     """
     odd = -math.expm1(-2.0 * x * x) / 2.0
-    return np.array([(1.0 + math.exp(-2.0 * x * x)) / 2.0,
-                     odd if odd >= sys.float_info.min else 0.0])
+    return ((1.0 + math.exp(-2.0 * x * x)) / 2.0,
+            odd if odd >= sys.float_info.min else 0.0)
 
 
-def _payload(target: TargetState) -> np.ndarray:
+def _payload(target: TargetState) -> tuple[complex, complex]:
     """The realized payload's cat coordinates: S c, normalized."""
-    chat = _S @ np.array([target.c_a, target.c_b])
-    norm2 = float(_cat_norms2(target.gamma) @ np.abs(chat) ** 2)
-    if not norm2 > 0.0:
+    even, odd = target.c_a + target.c_b, target.c_a - target.c_b
+    n_even, n_odd = _cat_norms2(target.gamma)
+    norm = math.sqrt(n_even * abs(even) ** 2 + n_odd * abs(odd) ** 2)
+    if not norm > 0.0:
         raise DegenerateStateError("cannot normalize a zero-norm state")
-    return chat / math.sqrt(norm2)
+    return even / norm, odd / norm
 
 
 # ---------------------------------------------------------------------------
 # Payload-linear branch maps
 # ---------------------------------------------------------------------------
 
-def _ideal_maps(alpha: float, gamma: float) -> np.ndarray:
-    """maps[k][b, t]: receiver cat b per payload cat t under Bell outcome k.
+def _ideal_maps(alpha: float, gamma: float):
+    """maps[k][b][t]: receiver cat b per payload cat t under Bell outcome k.
 
     <w_k| reads the normalized cats of (a, T), which the unnormalized
-    cats of the channel (the table S on (a, b)) and of the payload meet
-    with their norms n = sqrt(diag G).
+    cats of the channel (S on (a, b)) and payload meet with their norms
+    n = sqrt(diag G): einsum("kat,a,t,ab->kbt", W, n_a, n_g, S).
     """
-    n_a, n_g = np.sqrt(_cat_norms2(alpha)), np.sqrt(_cat_norms2(gamma))
-    return np.einsum("kat,a,t,ab->kbt", _BELL_CATS, n_a, n_g, _S)
+    (a0, a1), (g0, g1) = ([math.sqrt(v) for v in _cat_norms2(x)]
+                          for x in (alpha, gamma))
+    return [((w00 * a0 * g0 + w10 * a1 * g0, w01 * a0 * g1 + w11 * a1 * g1),
+             (w00 * a0 * g0 - w10 * a1 * g0, w01 * a0 * g1 - w11 * a1 * g1))
+            for (w00, w01), (w10, w11) in _BELL_CATS]
 
 
-def _correction_grams(beta: float) -> np.ndarray:
-    """C[c, i, j] = <beta_i|U_c|beta_j> on the cats, U_c over CORRECTIONS.
+def _correction_grams(beta: float):
+    """C[c][i][j] = <beta_i|U_c|beta_j> on the cats, U_c over CORRECTIONS.
 
     Parity is Z on the cats, so C = [G, ZG, D', ZD'] with G the cats'
     Gram matrix and D' = (i/4) S F S, where F[i, j] = <s_i beta|D(mu)|
@@ -280,49 +285,70 @@ def _correction_grams(beta: float) -> np.ndarray:
     """
     mu = correction_mu(beta)
     frame = (complex(beta), complex(-beta))
-    f = np.array([[cmath.exp(1j * (mu * v).imag) * _kernel(u, v + mu)
-                   for v in frame] for u in frame])
-    disp = 0.25j * _S @ f @ _S
-    gram, z = np.diag(_cat_norms2(beta)), np.diag([1.0, -1.0])
-    return np.array([gram, z @ gram, disp, z @ disp])
+    f = [[cmath.exp(1j * (mu * v).imag) * _kernel(u, v + mu) for v in frame]
+         for u in frame]
+    disp = [[0.25j * (f[0][0] + s * f[1][0] + t * (f[0][1] + s * f[1][1]))
+             for t in (1, -1)] for s in (1, -1)]
+    even, odd = _cat_norms2(beta)
+    return ([[even, 0.0], [0.0, odd]], [[even, 0.0], [0.0, -odd]], disp,
+            [disp[0], [-d for d in disp[1]]])
 
 
-#: the Bell measurement: outcome 2s + t keeps measured index 2s + t
-#: alone, the projector on each of its bits
-_BRANCH_EFFECTS = (np.einsum("km,kn->kmn", np.eye(2), np.eye(2)),) * 2
+#: the Bell measurement: outcome 2s + t projects on measured index 2s + t
+_BRANCH_EFFECTS = ((((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0))),) * 2
 
 
-def _apply_effects(effects, v: np.ndarray) -> np.ndarray:
-    """w[k, m] = sum_n E_k[m, n] v[n], with E_{2s+t} = A[s] (x) B[t] for
-    effects = (A, B) on measured index 2x + i.  One factor at a time, and
-    before any two components are multiplied, so that components a
-    reading cancels cancel exactly."""
-    a, b = effects
-    w = np.einsum("tij,xjr->txir", b, v.reshape(2, 2, -1))
-    return np.einsum("sxy,tyir->stxir", a, w).reshape(4, 4, -1)
+def _statistics(maps, effects, chat, grams, renormalize=False):
+    """Cat coordinates comps[m] = maps[m] chat on measured index 2x + i,
+    outcome probabilities p[k] and fidelities f[k][c] under correction c.
 
-
-def _statistics(comps: np.ndarray, effects, chat: np.ndarray,
-                grams: np.ndarray):
-    """Outcome probabilities p[k] and fidelities f[k, c] under correction c.
-
-    comps[m] is the receiver's cat coordinates on measured index m,
-    effects the pair (A, B) of per-mode effects, E_k as in
-    _apply_effects, and G = grams[0], so p_k = sum_mn comps[m]^H
-    E_k[m, n] G comps[n].  The receiver's conditional state is a mixture
-    over the readings; its fidelity after correction c against the ideal
-    state (cat coordinates proportional to chat) is u^H E_k u / (p_k
-    chat^H G chat) with u[m] = chat^H C_c comps[m], C_c = grams[c] (see
-    _correction_grams).
+    Outcome 2s + t has the effect E = A[s] (x) B[t], effects = (A, B);
+    with G = grams[0] and the 2x2 Hermitian M = comps^H E comps, p = tr(G M).
+    The receiver's conditional state is a mixture over the readings; its
+    fidelity after correction c against the ideal state (cat coordinates
+    proportional to chat) is r^H M r / (p chat^H G chat), r = chat^H C_c,
+    C_c = grams[c] (see _correction_grams).  renormalize makes p sum to 1.
     """
-    probs = np.einsum("mi,ij,kmj->k", comps.conj(), grams[0],
-                      _apply_effects(effects, comps)).real
-    u = np.einsum("i,cij,mj->cm", chat.conj(), grams, comps)
-    num = np.einsum("cm,kmc->kc", u.conj(),
-                    _apply_effects(effects, u.T)).real
-    scale = np.vdot(chat, grams[0] @ chat).real * probs[:, None]
-    fids = np.divide(num, scale, out=np.zeros(num.shape), where=scale > 0)
-    return probs, fids
+    h0, h1 = chat[0].conjugate(), chat[1].conjugate()
+    comps = [(m00 * chat[0] + m01 * chat[1], m10 * chat[0] + m11 * chat[1])
+             for (m00, m01), (m10, m11) in maps]
+    if renormalize:
+        # relative weights: an exact power of two keeps the squares finite
+        scale = 2.0 ** -math.frexp(max(abs(x) for c in comps for x in c))[1]
+        comps = [(x0 * scale, x1 * scale) for x0, x1 in comps]
+    cols = tuple(zip(*comps))
+    ws = []
+    for v0, v1, v2, v3 in cols:
+        # E v one factor at a time (einsum "tij,xj->txi", "sxy,tyi->stxi")
+        # before any product of two components: cancellations are exact
+        half = [(v0 * b00 + v1 * b01, v0 * b10 + v1 * b11,
+                 v2 * b00 + v3 * b01, v2 * b10 + v3 * b11)
+                for (b00, b01), (b10, b11) in effects[1]]
+        ws.append([(u0 * a00 + u2 * a01, u1 * a00 + u3 * a01,
+                    u0 * a10 + u2 * a11, u1 * a10 + u3 * a11)
+                   for (a00, a01), (a10, a11) in effects[0]
+                   for u0, u1, u2, u3 in half])
+    # M_k: einsum("mi,kmj->kij", comps^*, E comps); M_k[1, 0] = M_k[0, 1]^*
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = ([x.conjugate() for x in col]
+                                          for col in cols)
+    ms = [((a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3).real,
+           (b0 * o0 + b1 * o1 + b2 * o2 + b3 * o3).real,
+           a0 * o0 + a1 * o1 + a2 * o2 + a3 * o3)
+          for (e0, e1, e2, e3), (o0, o1, o2, o3) in zip(*ws)]
+    (g0, _), (_, g1) = grams[0]
+    probs = [g0 * m00 + g1 * m11 for m00, m11, _ in ms]
+    # r^H M r = |r0|^2 M00 + |r1|^2 M11 + 2 Re(r0^* r1 M01), never below 0
+    forms = [(abs(r0) ** 2, abs(r1) ** 2, 2 * r0.conjugate() * r1)
+             for r0, r1 in ((h0 * c00 + h1 * c10, h0 * c01 + h1 * c11)
+                            for (c00, c01), (c10, c11) in grams)]
+    norm2 = (h0 * (g0 * chat[0]) + h1 * (g1 * chat[1])).real
+    fids = [[max(s0 * m00 + s1 * m11 + (z * m01).real, 0.0) / (norm2 * p)
+             for s0, s1, z in forms] if norm2 * p > 0 else [0.0] * 4
+            for p, (m00, m11, m01) in zip(probs, ms)]
+    if renormalize:
+        total = sum(probs)
+        probs = [p / total for p in probs]
+    return comps, probs, fids
 
 
 def _multinomial(rng, n: int, weights) -> np.ndarray:
@@ -417,29 +443,22 @@ def _build_run(path: str, target: TargetState, alpha: float, beta: float,
                maps, effects, rows, outcomes, corrections, mode: str,
                seed: int | None, trials: int, renormalize: bool = False,
                **extra) -> ProtocolRun:
-    """A run from the 2x2 maps, the outcome effects (see _statistics), the
+    """A run from the 2x2 maps and outcome effects (see _statistics), the
     rows taking the measured index to each record's outcome (None: the
-    same index), the per-branch (label, eigen_bits) outcomes and
-    corrections; renormalize rescales the probabilities to sum to 1."""
-    chat = _payload(target)
-    comps = maps @ chat
-    if renormalize:
-        # relative weights: a power of two (exact) puts the largest
-        # component near 1, so that its square stays finite
-        comps = comps * 2.0 ** -np.frexp(np.abs(comps).max())[1]
-    probs, fids = _statistics(comps, effects, chat, _correction_grams(beta))
-    if renormalize:
-        probs = probs / probs.sum()
-    probs = [float(p) for p in probs]
-    fids = [float(fids[k, CORRECTIONS.index(c)])
-            for k, c in enumerate(corrections)]
+    same index), and the per-branch (label, eigen_bits) and corrections."""
+    comps, probs, fids = _statistics(maps, effects, _payload(target),
+                                     _correction_grams(beta), renormalize)
+    fids = [row[CORRECTIONS.index(c)] for row, c in zip(fids, corrections)]
+    if rows is not None:
+        comps = [[sum(x[b] * r for r, x in zip(row, comps)) for b in (0, 1)]
+                 for row in rows]
     # the records hold the receiver's frame coordinates S v / 2
-    frame = ((comps if rows is None else rows @ comps) @ _S / 2).tolist()
     branches = [
-        ProtocolResult(MeasurementOutcome(label, bits, p, tuple(v), beta),
-                       corr, f)
-        for (label, bits), corr, v, p, f in zip(outcomes, corrections, frame,
-                                                probs, fids)]
+        ProtocolResult(MeasurementOutcome(label, bits, p,
+                                          ((x0 + x1) / 2, (x0 - x1) / 2),
+                                          beta), corr, f)
+        for (label, bits), corr, (x0, x1), p, f in zip(
+            outcomes, corrections, comps, probs, fids)]
     counts = None
     if mode == "sample":
         rng = np.random.default_rng(seed)
@@ -467,9 +486,7 @@ def run_teleport_ideal(target: TargetState, alpha: float, beta: float,
     _check_inputs(alpha, beta, mode, trials)
     return _build_run(
         "ideal", target, alpha, beta, _ideal_maps(alpha, target.gamma),
-        _BRANCH_EFFECTS, None,
-        [(lab.value, measurement_bits(lab)) for lab in LABELS], CORRECTIONS,
-        mode, seed, trials)
+        _BRANCH_EFFECTS, None, _BELL_OUTCOMES, CORRECTIONS, mode, seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +503,8 @@ def misclassification_probability(amplitude: float) -> float:
     return 0.5 * math.erfc(math.sqrt(2.0) * abs(amplitude))
 
 
-#: sign pair 2t + a, bit 1 for a minus sign
-_SIGN_LABELS = ("T+A+", "T+A-", "T-A+", "T-A-")
+#: each sign pair 2t + a's (label, eigen_bits), bit 1 for a minus sign
+_SIGN_OUTCOMES = tuple((s, None) for s in ("T+A+", "T+A-", "T-A+", "T-A-"))
 
 
 def three_mode_state(target: TargetState, alpha: float, beta: float,
@@ -513,28 +530,28 @@ def _homodyne_maps(freqs):
     """
     (w1, w2), (v1, v2) = ([w % 2 for w in frequency_row(row)]
                           for row in freqs)
-    i, j = np.arange(2)[:, None], np.arange(2)
-    channel = (-1.0) ** (i * w1 + j * w2 + i * j)
-    entangler = (-1.0) ** (i * v1 + j * v2 + i * j)
-    maps = np.einsum("xi,ib,xy->xiby", entangler, channel,
-                     np.eye(2)).reshape(4, 2, 2)
+    # einsum("xi,ib,xy->xiby", entangler, channel, eye) with the signs
+    # (-1)^(x v1 + i v2 + x i) and (-1)^(i w1 + b w2 + i b)
+    maps = [[[(-1.0) ** (x * v1 + i * v2 + x * i + i * w1 + b * w2 + i * b)
+              if x == y else 0.0 for y in (0, 1)] for b in (0, 1)]
+            for x in (0, 1) for i in (0, 1)]
     corrections = [CORRECTIONS[(t ^ v1 ^ w2) + 2 * (a ^ w1 ^ v2)]
                    for t in (0, 1) for a in (0, 1)]
     return corrections, maps
 
 
 def _sign_effects(gamma: float, alpha: float):
-    """(H_T, H_a): sign pair 2t + a (_SIGN_LABELS order) has the exact
+    """(H_T, H_a): sign pair 2t + a (_SIGN_OUTCOMES order) has the exact
     effect H_T[t] (x) H_a[a] on the cats of T (at gamma) and a (at alpha),
     H[0], H[1] = [[1 + e, +-q], [+-q, 1 - e]]/4 with e = e^{-2x^2} and
     q = erf(sqrt(2) x) = 1 - 2m, m the sign-error probability."""
     halves = []
     for x in (gamma, alpha):
-        norms2 = _cat_norms2(x)
+        even, odd = _cat_norms2(x)
         # |q| <= sqrt((1 + e)(1 - e)): a zero odd cat has no coherences
-        q = math.erf(math.sqrt(2.0) * x) if norms2[1] > 0 else 0.0
-        diag, off = np.diag(norms2) / 2, q / 4 * (1.0 - np.eye(2))
-        halves.append(np.array([diag + off, diag - off]))
+        q = math.erf(math.sqrt(2.0) * x) / 4 if odd > 0 else 0.0
+        halves.append((((even / 2, q), (q, odd / 2)),
+                       ((even / 2, -q), (-q, odd / 2))))
     return tuple(halves)
 
 
@@ -544,8 +561,7 @@ _BRANCH_SIGN_EFFECTS = _sign_effects(math.inf, math.inf)
 
 #: a record's outcome 2t + a from the measured cats 2x + i: the frame row
 #: (S/2)[t, x] (S/2)[a, i] of each sign reading
-_SIGN_ROWS = np.kron(_S, _S) / 4
-_SIGN_ROWS.setflags(write=False)
+_SIGN_ROWS = (np.kron(_S, _S) / 4).tolist()
 
 
 def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
@@ -570,8 +586,7 @@ def run_teleport_homodyne(target: TargetState, alpha: float, beta: float,
         "homodyne", target, alpha, beta, maps,
         _BRANCH_SIGN_EFFECTS if branch
         else _sign_effects(target.gamma, alpha), _SIGN_ROWS,
-        [(label, None) for label in _SIGN_LABELS],
-        corrections, mode, seed, trials, renormalize=branch,
+        _SIGN_OUTCOMES, corrections, mode, seed, trials, renormalize=branch,
         misclassification={"T": misclassification_probability(target.gamma),
                            "A": misclassification_probability(alpha)},
         collapse=collapse, freqs=tuple(tuple(r) for r in freqs))
@@ -594,10 +609,11 @@ def classical_baseline(target: TargetState, alpha: float, beta: float,
     guess) cells, so memory does not grow with ``trials``.
     """
     _check_inputs(alpha, beta, "sample", trials)
-    chat = _payload(target)
-    p, fmat = _statistics(_ideal_maps(alpha, target.gamma) @ chat,
-                          _BRANCH_EFFECTS, chat, _correction_grams(beta))
+    _, p, fmat = _statistics(_ideal_maps(alpha, target.gamma), _BRANCH_EFFECTS,
+                             _payload(target), _correction_grams(beta))
     cells = _multinomial(np.random.default_rng(seed), trials,
-                         np.repeat(p, 4)).reshape(fmat.shape)
+                         [w for w in p for _ in range(4)]).tolist()
+    fids = [f for row in fmat for f in row]
     # CORRECTIONS is in LABELS order: right guesses sit on the diagonal
-    return int(np.trace(cells)) / trials, float(np.sum(cells * fmat)) / trials
+    return (sum(cells[::5]) / trials,
+            sum(n * f for n, f in zip(cells, fids)) / trials)

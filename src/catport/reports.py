@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bell import LABELS, BellLabel, DisplacementQuantum, eigen_residual
+from .bell import BellLabel, DisplacementQuantum, eigen_residual
 from .protocol import (ProtocolRun, TargetState, run_teleport_homodyne,
                        run_teleport_ideal)
 
@@ -42,7 +42,7 @@ def _fmt(value) -> str:
     """Deterministic cell rendering; floats use shortest round-trip repr."""
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return repr(float(value))
     return str(value)
 
@@ -120,14 +120,13 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def sweep_eigen_rows(amplitudes, operator: str = "PbDa",
-                     label=None, n: int = 0, m: int = 0) -> list[dict]:
+def sweep_eigen_rows(amplitudes, operator: str, label: BellLabel, n: int,
+                     m: int) -> list[dict]:
     """Eigen-residual of one combined operator over an amplitude grid.
 
     alpha = beta at each grid point; a fitted log-log slope column is
     attached to every row (expected near -2).
     """
-    label = BellLabel(label) if label is not None else LABELS[0]
     q = DisplacementQuantum(n, m)
     residuals = [eigen_residual(label, operator, q, a, a) for a in amplitudes]
     slope = loglog_slope(amplitudes, residuals) if len(amplitudes) > 1 else None
@@ -147,16 +146,10 @@ def sweep_fidelity_rows(betas, c_a=1.0, c_b=0.0,
     default, where the displacement-correction error dominates and
     1 - F falls off like beta^-2.
     """
+    run_path = run_teleport_ideal if path == "ideal" else run_teleport_homodyne
     rows = []
-    fids = []
-    for b in betas:
-        b = float(b)
-        target = TargetState(c_a, c_b, b)
-        if path == "ideal":
-            run = run_teleport_ideal(target, b, b)
-        else:
-            run = run_teleport_homodyne(target, b, b)
-        fids.append(run.average_fidelity)
+    for b in map(float, betas):
+        run = run_path(TargetState(c_a, c_b, b), b, b)
         rows.append({
             "alpha": b, "beta": b, "gamma": b,
             "c_a_re": run.c_a.real, "c_a_im": run.c_a.imag,
@@ -164,7 +157,7 @@ def sweep_fidelity_rows(betas, c_a=1.0, c_b=0.0,
             "path": path, "avg_fidelity": run.average_fidelity,
             "one_minus_avg_fidelity": 1.0 - run.average_fidelity,
         })
-    deficits = [max(1.0 - f, 0.0) for f in fids]
+    deficits = [max(1.0 - row["avg_fidelity"], 0.0) for row in rows]
     slope = (loglog_slope(betas, deficits)
              if len(betas) > 1 and all(d > 0 for d in deficits) else None)
     for row in rows:

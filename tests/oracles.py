@@ -15,9 +15,11 @@ full symbolic three-mode state, and the frame route below rebuilds the
 protocol's tables on the coherent frames {|x>, |-x>} the way the package
 did before it moved to cat coordinates: an eigendecomposition Lowdin
 map, pi-point tables read by a pattern match, and correction Grams from
-symbolic states.  The last two routes redo the ideal path and the exact
-collapse on the frames in 100-digit mpmath arithmetic, for amplitudes
-where double-precision frame Grams are singular.
+symbolic states.  ``einsum_statistics`` redoes the protocol's scalar
+kernel in numpy einsums on the package's own tables.  The last two
+routes redo the ideal path and the exact collapse on the frames in
+100-digit mpmath arithmetic, for amplitudes where double-precision frame
+Grams are singular.
 """
 
 from __future__ import annotations
@@ -421,6 +423,39 @@ def frame_sign_effects(gamma: float, alpha: float) -> np.ndarray:
             for x in (gamma, alpha)]
     return np.array([np.kron(half[0][t], half[1][a])
                      for t in (0, 1) for a in (0, 1)])
+
+
+# -- the einsum route ---------------------------------------------------------
+# The package's scalar kernel (protocol._statistics) in numpy einsums, on the
+# same cat-coordinate tables: effects applied to u, not reduced to a 2x2 form.
+
+def _einsum_effects(effects, v: np.ndarray) -> np.ndarray:
+    """w[k, m] = sum_n E_k[m, n] v[n], with E_{2s+t} = A[s] (x) B[t] for
+    effects = (A, B) on measured index 2x + i, one factor at a time."""
+    a, b = effects
+    w = np.einsum("tij,xjr->txir", b, v.reshape(2, 2, -1))
+    return np.einsum("sxy,tyir->stxir", a, w).reshape(4, 4, -1)
+
+
+def einsum_statistics(comps, effects, chat, grams):
+    """Outcome probabilities p[k] and fidelities f[k, c] under correction c.
+
+    comps[m] is the receiver's cat coordinates on measured index m, and
+    G = grams[0], so p_k = sum_mn comps[m]^H E_k[m, n] G comps[n]; the
+    fidelity after correction c is u^H E_k u / (p_k chat^H G chat) with
+    u[m] = chat^H C_c comps[m], C_c = grams[c].
+    """
+    comps, chat, grams = (np.asarray(x, dtype=complex)
+                          for x in (comps, chat, grams))
+    effects = tuple(np.asarray(e, dtype=float) for e in effects)
+    probs = np.einsum("mi,ij,kmj->k", comps.conj(), grams[0],
+                      _einsum_effects(effects, comps)).real
+    u = np.einsum("i,cij,mj->cm", chat.conj(), grams, comps)
+    num = np.einsum("cm,kmc->kc", u.conj(),
+                    _einsum_effects(effects, u.T)).real
+    scale = np.vdot(chat, grams[0] @ chat).real * probs[:, None]
+    fids = np.divide(num, scale, out=np.zeros(num.shape), where=scale > 0)
+    return probs, fids
 
 
 # -- 100-digit routes at small amplitude ---------------------------------------

@@ -485,13 +485,13 @@ def test_sampled_baseline_within_five_sigma_of_exact():
     # is sum_k p_k mean_c F[k, c]
     for i, (target, alpha, beta) in enumerate(_random_cases(505, 12)):
         trials = 20000
-        chat = protocol._payload(target)
-        p, fmat = protocol._statistics(
-            protocol._ideal_maps(alpha, target.gamma) @ chat,
-            protocol._BRANCH_EFFECTS, chat, protocol._correction_grams(beta))
-        cells = np.repeat(p, 4) / 4
-        mean = float(cells @ fmat.ravel())
-        sigma = math.sqrt((cells @ fmat.ravel() ** 2 - mean ** 2) / trials)
+        _, p, fmat = protocol._statistics(
+            protocol._ideal_maps(alpha, target.gamma),
+            protocol._BRANCH_EFFECTS, protocol._payload(target),
+            protocol._correction_grams(beta))
+        cells, fmat = np.repeat(p, 4) / 4, np.ravel(fmat)
+        mean = float(cells @ fmat)
+        sigma = math.sqrt((cells @ fmat ** 2 - mean ** 2) / trials)
         guess, fid = classical_baseline(target, alpha, beta, trials, seed=i)
         assert abs(fid - mean) <= 5 * sigma
         assert abs(guess - 0.25) <= 5 * math.sqrt(0.25 * 0.75 / trials)
