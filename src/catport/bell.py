@@ -30,10 +30,14 @@ displacement quanta are therefore fixed by the round-trip phase
 
     2 eps alpha = (n + 1/2) pi,    2 lam beta = (m + 1/2) pi,
 
-which makes all four states joint eigenvectors in the large-amplitude
-limit, with eigenvalue sets {i, i, -i, -i} for P_b D_a and
-{i, -i, i, -i} for P_a D_b (order Phi+, Phi-, Psi+, Psi-) at n = m = 0.
-The residual at finite amplitude is 1 - e^{-|eps|^2/2} = O(alpha^-2).
+with eigenvalue sets {i, i, -i, -i} for P_b D_a and {i, -i, i, -i} for
+P_a D_b (order Phi+, Phi-, Psi+, Psi-) at n = m = 0.  Each state's two
+FRAME_COEFFS rows meet the parity overlaps [[h, 1], [1, h]], h =
+e^{-2 beta^2}, with zero cross terms, so at every amplitude
+<s|P_b D_a|s> = e^{-|eps|^2/2} (h cos theta + i sigma sin theta) =
+lambda e^{-|eps|^2/2}, with theta = 2 Im(eps alpha) = (n + 1/2) pi and
+sigma the label's sign (P_a D_b likewise).  The states become joint
+eigenvectors as eps -> 0; the residual is 1 - e^{-|eps|^2/2} = O(alpha^-2).
 """
 
 from __future__ import annotations
@@ -45,8 +49,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import (CoherentSuperposition, fidelity, gram_matrix, normalize,
-                      overlap)
+from .algebra import CoherentSuperposition, fidelity, gram_matrix, normalize
+# not called here: perfbench/selftest.py checks that the benchmark's tracer
+# rebinds algebra.overlap in this module too (ROADMAP item 1)
+from .algebra import overlap  # noqa: F401
 
 __all__ = [
     "BellLabel",
@@ -273,7 +279,8 @@ def combined_op(state: CoherentSuperposition, which: str,
 
 def predicted_eigenvalue(label: BellLabel, which: str,
                          q: DisplacementQuantum) -> complex:
-    """Large-amplitude eigenvalue of a combined operator on one state.
+    """Eigenvalue lambda of a combined operator on one state, exact in
+    <s|Op|s> = lambda e^{-|eps|^2/2} at every amplitude (module docstring).
 
     P_b D_a: +i(-1)^n on the Phi pair, -i(-1)^n on the Psi pair.
     P_a D_b: +-i(-1)^m following the +- of the state label.
@@ -288,16 +295,17 @@ def predicted_eigenvalue(label: BellLabel, which: str,
     raise ValueError("which must be 'PbDa' or 'PaDb'")
 
 
-def eigen_residual(label: BellLabel, which: str, q: DisplacementQuantum,
-                   alpha: float, beta: float) -> float:
-    """1 - |<s| conj(eig) Op |s>| for the predicted eigenvalue.
-
-    Nonnegative; decays like |eps|^2/2 = (n+1/2)^2 pi^2 / (8 alpha^2) as
-    the amplitudes grow (for PbDa; m, beta likewise for PaDb).
+def eigen_residual(which: str, q: DisplacementQuantum, alpha: float,
+                   beta: float) -> float:
+    """1 - |<s| conj(lambda) Op |s>| = 1 - e^{-|eps|^2/2}, exactly and for
+    every label (module docstring); eps = q.epsilon(alpha) for P_b D_a,
+    q.lam(beta) for P_a D_b.  It is 0.0 once |eps|^2 underflows and 1.0
+    once it overflows (squared by multiplying: float ** would raise).
     """
-    s = make_quasi_bell(label, alpha, beta)
-    amp = overlap(s, combined_op(s, which, q, alpha, beta))
-    return 1.0 - abs(predicted_eigenvalue(label, which, q).conjugate() * amp)
+    if which not in ("PbDa", "PaDb"):
+        raise ValueError("which must be 'PbDa' or 'PaDb'")
+    e = abs(q.epsilon(alpha) if which == "PbDa" else q.lam(beta))
+    return -math.expm1(-e * e / 2)
 
 
 def measurement_bits(label: BellLabel) -> tuple[int, int]:

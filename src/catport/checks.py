@@ -17,7 +17,7 @@ import numpy as np
 from . import fock
 from .algebra import (CoherentSuperposition, fidelity, gram_matrix,
                       normalize, overlap)
-from .bell import (LABELS, BellLabel, DisplacementQuantum, FREQUENCY_TABLE,
+from .bell import (LABELS, DisplacementQuantum, FREQUENCY_TABLE,
                    combined_op, eigen_residual, generate_from_dynamics,
                    gram_closed_form, make_quasi_bell, predicted_eigenvalue)
 from .protocol import TargetState, run_teleport_ideal
@@ -182,23 +182,25 @@ def check_gram_closed_forms() -> CheckResult:
 
 
 def check_eigen_structure() -> CheckResult:
-    """Joint eigenvalue signs at amplitude 8 and residual slope near -2."""
+    """<s|Op|s> = lambda (1 - residual) at 1e-12, residual slope near -2."""
+    worst = 0.0
+    for n, m in ((0, 0), (1, 2)):
+        q = DisplacementQuantum(n, m)
+        for a in (0.5, 1.0, 2.0, 8.0):
+            for lab in LABELS:
+                s = make_quasi_bell(lab, a, a)
+                for which in ("PbDa", "PaDb"):
+                    amp = overlap(s, combined_op(s, which, q, a, a))
+                    want = (predicted_eigenvalue(lab, which, q)
+                            * (1.0 - eigen_residual(which, q, a, a)))
+                    worst = max(worst, abs(amp - want))
     q = DisplacementQuantum(0, 0)
-    sign_ok = True
-    for lab in LABELS:
-        s = make_quasi_bell(lab, 8.0, 8.0)
-        for which in ("PbDa", "PaDb"):
-            amp = overlap(s, combined_op(s, which, q, 8.0, 8.0))
-            want = predicted_eigenvalue(lab, which, q)
-            decoded = 1j if amp.imag > 0 else -1j
-            sign_ok = sign_ok and decoded == want
     grid = [4.0, 8.0, 16.0, 32.0]
-    residuals = [eigen_residual(BellLabel.PHI_PLUS, "PbDa", q, a, a)
-                 for a in grid]
-    slope = loglog_slope(grid, residuals)
-    ok = sign_ok and abs(slope + 2.0) <= 0.1
+    slope = loglog_slope(grid, [eigen_residual("PbDa", q, a, a)
+                                for a in grid])
+    ok = worst <= 1e-12 and abs(slope + 2.0) <= 0.1
     return CheckResult("eigen-structure", ok,
-                       f"signs {'ok' if sign_ok else 'WRONG'}, "
+                       f"|<s|Op|s> - lambda (1 - residual)| {worst:.3e}, "
                        f"residual slope {slope:.4f}")
 
 

@@ -19,9 +19,7 @@ import os
 import sys
 
 from . import __version__
-from .algebra import gram_matrix
-from .bell import (FREQUENCY_TABLE, LABELS, frequency_row,
-                   generate_from_dynamics, gram_closed_form, make_quasi_bell)
+from .bell import FREQUENCY_TABLE, LABELS, frequency_row, gram_closed_form
 from .checks import run_checks
 from .protocol import (MAX_TRIALS, TargetState, classical_baseline,
                        run_teleport_homodyne, run_teleport_ideal)
@@ -213,24 +211,12 @@ def cmd_validate(args) -> int:
 def cmd_bell(args) -> int:
     cfg = _take(_load_config(args.config), _BELL_SCHEMA)
     alpha, beta = cfg["alpha"], cfg["beta"]
-    states = [make_quasi_bell(lab, alpha, beta) for lab in LABELS]
-    gram = gram_matrix(states)
-    closed = gram_closed_form(alpha, beta)
-    rows = []
-    for j, lj in enumerate(LABELS):
-        for k, lk in enumerate(LABELS):
-            rows.append({
-                "alpha": alpha, "beta": beta,
-                "bra": lj.value, "ket": lk.value,
-                "overlap_re": gram[j, k].real, "overlap_im": gram[j, k].imag,
-                "closed_form": closed[j, k].real,
-                "abs_error": float(abs(gram[j, k] - closed[j, k])),
-            })
-    columns = ("alpha", "beta", "bra", "ket", "overlap_re", "overlap_im",
-               "closed_form", "abs_error")
-    _emit_rows(rows, columns, args)
+    gram = gram_closed_form(alpha, beta).real
+    rows = [{"alpha": alpha, "beta": beta, "bra": lj.value, "ket": lk.value,
+             "overlap": float(gram[j, k])}
+            for j, lj in enumerate(LABELS) for k, lk in enumerate(LABELS)]
+    _emit_rows(rows, ("alpha", "beta", "bra", "ket", "overlap"), args)
     for (wa, wb), label in FREQUENCY_TABLE.items():
-        generate_from_dynamics(wa, wb, alpha, beta)
         print(f"omega_a={wa} omega_b={wb} -> {label}", file=sys.stderr)
     return EXIT_OK
 
@@ -239,10 +225,8 @@ def cmd_eigen(args) -> int:
     cfg = _take(_load_config(args.config), _EIGEN_SCHEMA)
     rows = []
     for operator in ("PbDa", "PaDb"):
-        for lab in LABELS:
-            rows.extend(sweep_eigen_rows(
-                cfg["amplitudes"], operator=operator, label=lab,
-                n=cfg["n"], m=cfg["m"]))
+        rows.extend(sweep_eigen_rows(cfg["amplitudes"], operator=operator,
+                                     n=cfg["n"], m=cfg["m"]))
     _emit_rows(rows, EIGEN_SWEEP_COLUMNS, args)
     return EXIT_OK
 

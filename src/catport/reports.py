@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellLabel, DisplacementQuantum, eigen_residual
+from .bell import LABELS, DisplacementQuantum, eigen_residual
 from .protocol import (ProtocolRun, TargetState, run_teleport_homodyne,
                        run_teleport_ideal)
 
@@ -113,28 +113,33 @@ def run_to_json_doc(run: ProtocolRun) -> dict:
     return doc
 
 
-def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+def loglog_slope(xs, ys) -> float | None:
+    """Least-squares slope of log(y) against log(x); None when there are
+    fewer than two distinct xs or some y <= 0, where no slope exists."""
+    if len(set(map(float, xs))) < 2 or not all(y > 0 for y in ys):
+        return None
     xs = np.log(np.asarray(xs, dtype=float))
     ys = np.log(np.asarray(ys, dtype=float))
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def sweep_eigen_rows(amplitudes, operator: str, label: BellLabel, n: int,
+def sweep_eigen_rows(amplitudes, operator: str, n: int,
                      m: int) -> list[dict]:
     """Eigen-residual of one combined operator over an amplitude grid.
 
-    alpha = beta at each grid point; a fitted log-log slope column is
-    attached to every row (expected near -2).
+    alpha = beta at each grid point.  The residual is the same for every
+    label, so the rows run over LABELS, then the grid.  A fitted log-log
+    slope column (expected near -2) is attached to every row when
+    `loglog_slope` finds one.
     """
     q = DisplacementQuantum(n, m)
-    residuals = [eigen_residual(label, operator, q, a, a) for a in amplitudes]
-    slope = loglog_slope(amplitudes, residuals) if len(amplitudes) > 1 else None
+    residuals = [eigen_residual(operator, q, a, a) for a in amplitudes]
+    slope = loglog_slope(amplitudes, residuals)
     return [
         {"alpha": float(a), "beta": float(a), "operator": operator,
          "label": label.value, "n": n, "m": m, "residual": r,
          "slope": slope}
-        for a, r in zip(amplitudes, residuals)
+        for label in LABELS for a, r in zip(amplitudes, residuals)
     ]
 
 
@@ -158,8 +163,7 @@ def sweep_fidelity_rows(betas, c_a=1.0, c_b=0.0,
             "one_minus_avg_fidelity": 1.0 - run.average_fidelity,
         })
     deficits = [max(1.0 - row["avg_fidelity"], 0.0) for row in rows]
-    slope = (loglog_slope(betas, deficits)
-             if len(betas) > 1 and all(d > 0 for d in deficits) else None)
+    slope = loglog_slope(betas, deficits)
     for row in rows:
         row["slope"] = slope
     return rows

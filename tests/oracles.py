@@ -602,3 +602,52 @@ def mp_homodyne_statistics(c_a, c_b, gamma: float, alpha: float, beta: float,
                         for si, _ in terms] for sj, _ in terms]
             outcomes.append(([(c, s[2] * amps[2]) for s, c in terms], weights))
         return _mp_statistics(outcomes, corrections, c_a, c_b, amps[2])
+
+
+def _mp_quasi_bell_coeffs(label: str):
+    """c[i][j] weighing |s_i alpha>|s_j beta>, s = (+1, -1), from the
+    two-term forms Phi+- = |alpha>|beta_+> +- |-alpha>|beta_->, Psi+- =
+    |alpha>|beta_-> +- |-alpha>|beta_+> with cats (|b> +- |-b>)/2."""
+    cat = {"+": (1, 1), "-": (1, -1)}
+    first, second = ("+", "-") if label.startswith("Phi") else ("-", "+")
+    rel = 1 if label.endswith("+") else -1
+    return [[mpmath.mpf(cat[first][j]) / 2 for j in (0, 1)],
+            [rel * mpmath.mpf(cat[second][j]) / 2 for j in (0, 1)]]
+
+
+def mp_combined_expectation(label: str, which: str, quantum: int,
+                            alpha: float, beta: float):
+    """<s|Op|s> for a normalized quadruple member, in 60 digits.
+
+    The 16-term frame sum: P_b D_a(eps) takes |x>|y> to
+    e^{i Im(eps conj(x))} |x + eps>|-y>, eps = i (n + 1/2) pi / (2 alpha)
+    with n = ``quantum`` (P_a D_b likewise with the modes swapped, m and
+    beta), and each term pair meets the coherent overlaps
+    <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v) of both modes.  The norm
+    is summed the same way, not assumed.
+    """
+    with mpmath.workdps(60):
+        c = _mp_quasi_bell_coeffs(label)
+        x, y = mpmath.mpf(alpha), mpmath.mpf(beta)
+        if which == "PaDb":
+            c = [[c[j][i] for j in (0, 1)] for i in (0, 1)]
+            x, y = y, x
+        eps = 1j * (quantum + mpmath.mpf(1) / 2) * mpmath.pi / (2 * x)
+
+        def ov(u, v):
+            return mpmath.exp(-abs(u) ** 2 / 2 - abs(v) ** 2 / 2
+                              + mpmath.conj(u) * v)
+
+        xs, ys = (x, -x), (y, -y)
+        # per-mode factors [bra index][ket index], then the 16-term sum
+        gx = [[ov(u, v) for v in xs] for u in xs]
+        gy = [[ov(u, v) for v in ys] for u in ys]
+        dx = [[mpmath.expj(mpmath.im(eps * v)) * ov(u, v + eps) for v in xs]
+              for u in xs]
+        py = [[ov(u, -v) for v in ys] for u in ys]
+        pairs = list(itertools.product((0, 1), repeat=2))
+        norm2 = sum(c[i][j] * c[k][l] * gx[i][k] * gy[j][l]
+                    for (i, j), (k, l) in itertools.product(pairs, pairs))
+        amp = sum(c[i][j] * c[k][l] * dx[i][k] * py[j][l]
+                  for (i, j), (k, l) in itertools.product(pairs, pairs))
+        return amp / norm2

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +15,10 @@ from catport.bell import (FREQUENCY_TABLE, LABELS, BellLabel,
                           make_quasi_bell, measurement_bits,
                           predicted_eigenvalue)
 from catport.fock import DynamicsParams, evolve, to_fock, truncation_rule
+from oracles import mp_combined_expectation
+
+#: 0.05 to 1000, every (alpha, beta) pair of them, equal or not
+_ORACLE_AMPLITUDES = (0.05, 0.3, 1.0, 2.5, 8.0, 40.0, 1000.0)
 
 
 class TestMakeCat:
@@ -200,37 +206,80 @@ class TestEigenResidual:
     def test_slope_near_minus_two(self):
         q = DisplacementQuantum(0, 0)
         grid = [4.0, 8.0, 16.0, 32.0]
-        res = [eigen_residual(BellLabel.PHI_PLUS, "PbDa", q, a, a)
-               for a in grid]
+        res = [eigen_residual("PbDa", q, a, a) for a in grid]
         slope = np.polyfit(np.log(grid), np.log(res), 1)[0]
         assert abs(slope + 2.0) < 0.1
 
     def test_matches_overlap_deficit(self):
         # residual ~ |eps|^2/2 with eps = i pi/(4 alpha) at n = 0
         a = 16.0
-        got = eigen_residual(BellLabel.PHI_PLUS, "PbDa",
-                             DisplacementQuantum(0, 0), a, a)
+        got = eigen_residual("PbDa", DisplacementQuantum(0, 0), a, a)
         eps = math.pi / (4 * a)
         assert got == pytest.approx(1 - math.exp(-eps ** 2 / 2), rel=1e-6)
 
     def test_monotone_decrease_with_amplitude(self):
         q = DisplacementQuantum(0, 0)
-        res = [eigen_residual(BellLabel.PSI_PLUS, "PaDb", q, a, a)
+        res = [eigen_residual("PaDb", q, a, a)
                for a in (4.0, 8.0, 16.0, 32.0)]
         assert all(x > y for x, y in zip(res, res[1:]))
 
     def test_larger_quantum_is_worse(self):
         a = 4.0
-        r0 = eigen_residual(BellLabel.PHI_PLUS, "PbDa",
-                            DisplacementQuantum(0, 0), a, a)
-        r1 = eigen_residual(BellLabel.PHI_PLUS, "PbDa",
-                            DisplacementQuantum(1, 0), a, a)
+        r0 = eigen_residual("PbDa", DisplacementQuantum(0, 0), a, a)
+        r1 = eigen_residual("PbDa", DisplacementQuantum(1, 0), a, a)
         assert r1 > r0  # the displacement size triples
 
     def test_nonnegative(self):
         q = DisplacementQuantum(0, 0)
-        for lab in LABELS:
-            assert eigen_residual(lab, "PbDa", q, 2.0, 2.0) >= 0.0
+        for which in ("PbDa", "PaDb"):
+            assert eigen_residual(which, q, 2.0, 2.0) >= 0.0
+
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(ValueError, match="which"):
+            eigen_residual("PaDa", DisplacementQuantum(0, 0), 2.0, 2.0)
+
+    def test_underflow_rounds_to_zero(self):
+        assert eigen_residual("PbDa", DisplacementQuantum(0, 0),
+                              1e200, 1e200) == 0.0
+
+    @pytest.mark.parametrize("which", ["PbDa", "PaDb"])
+    def test_overflow_rounds_to_one(self, which):
+        # at 1e-160 |eps| is ~8e159 and |eps|^2 overflows to inf
+        assert eigen_residual(which, DisplacementQuantum(0, 0),
+                              1e-160, 1e-160) == 1.0
+
+    @pytest.mark.parametrize("which", ["PbDa", "PaDb"])
+    def test_matches_mpmath_frame_sum(self, which):
+        # the 60-digit frame sum reads lambda (1 - residual), with alpha
+        # and beta apart and the other operator's quantum varied too
+        worst = 0.0
+        for alpha, beta in itertools.product(_ORACLE_AMPLITUDES, repeat=2):
+            for k, lab in itertools.product(range(3), LABELS):
+                amp = mp_combined_expectation(lab.value, which, k, alpha,
+                                              beta)
+                for other in range(3):
+                    q = (DisplacementQuantum(k, other) if which == "PbDa"
+                         else DisplacementQuantum(other, k))
+                    lam = predicted_eigenvalue(lab, which, q)
+                    got = eigen_residual(which, q, alpha, beta)
+                    with mpmath.workdps(60):
+                        read = mpmath.mpc(lam.conjugate()) * amp
+                        assert abs(mpmath.im(read)) < 1e-40
+                        want = 1 - mpmath.re(read)
+                        worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 2), (2, 1)])
+    def test_matches_symbolic_operator(self, n, m):
+        q = DisplacementQuantum(n, m)
+        for a in (0.3, 0.7, 1.5, 4.0, 16.0, 64.0):
+            for lab in LABELS:
+                s = make_quasi_bell(lab, a, a)
+                for which in ("PbDa", "PaDb"):
+                    amp = overlap(s, combined_op(s, which, q, a, a))
+                    want = (predicted_eigenvalue(lab, which, q)
+                            * (1.0 - eigen_residual(which, q, a, a)))
+                    assert abs(amp - want) <= 1e-13
 
 
 class TestBitDecoding:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from catport import cli
+from catport import algebra, bell, checks, cli, protocol, reports
 from catport.algebra import CoherentSuperposition
+from catport.bell import gram_closed_form
 from catport.cli import (_SWEEP_SCHEMA, _TELEPORT_SCHEMA, ConfigError,
                          _take, build_parser, main)
 from catport.reports import (FIDELITY_SWEEP_COLUMNS, loglog_slope,
@@ -367,10 +368,12 @@ class TestBellEigenCommands:
         assert run_cli("bell", "--out", str(out)) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 17  # header + 16 matrix entries
-        for row in csv.DictReader(lines):
-            for key in ("alpha", "beta", "overlap_re", "overlap_im",
-                        "closed_form", "abs_error"):
-                float(row[key])
+        assert lines[0] == "alpha,beta,bra,ket,overlap"
+        gram = gram_closed_form(2.0, 2.0)
+        for i, row in enumerate(csv.DictReader(lines)):
+            assert (float(row["alpha"]), float(row["beta"])) == (2.0, 2.0)
+            # the closed form itself, bit for bit
+            assert float(row["overlap"]) == gram[i // 4, i % 4].real
         err = capsys.readouterr().err
         assert "Phi+" in err  # frequency-table labels echoed
 
@@ -383,6 +386,71 @@ class TestBellEigenCommands:
         # 2 operators x 4 labels x 2 amplitudes
         assert len(lines) == 17
 
+    def test_eigen_underflow_writes_no_nan(self, tmp_path, capsys):
+        # at 1e200 |eps|^2 underflows and the residual is 0.0: no log-log
+        # slope exists, so the cell is empty, not nan
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"amplitudes": [4.0, 1e200]}))
+        assert run_cli("eigen", "--config", str(cfg)) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert len(rows) == 16 and all(r["slope"] == "" for r in rows)
+        assert captured.err == ""
+        assert run_cli("eigen", "--config", str(cfg), "--format", "json") == 0
+        captured = capsys.readouterr()
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = json.loads(captured.out, parse_constant=refuse)
+        assert all(r["slope"] is None for r in rows)
+        assert {r["residual"] for r in rows if r["alpha"] == 1e200} == {0.0}
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command, config", [
+        ("eigen", {"amplitudes": [4.0, 4.0]}),
+        ("sweep", {"grid": [3.0, 3.0]}),
+    ])
+    def test_one_distinct_amplitude_has_no_slope(self, tmp_path, capsys,
+                                                 command, config):
+        # a log-log fit through one x is rank-deficient: no slope, no
+        # numpy RankWarning
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(command, "--config", str(cfg)) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert rows and all(r["slope"] == "" for r in rows)
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command, config", [
+        ("bell", {"alpha": 1.5, "beta": 0.7}),
+        ("eigen", {"amplitudes": [0.5, 4.0, 32.0], "n": 1, "m": 2}),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_closed_forms_build_no_symbolic_state(self, tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  config, fmt):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = (command, "--config", str(cfg), "--format", fmt)
+        assert run_cli(*argv) == 0
+        want = capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("symbolic algebra on a closed-form command")
+
+        names = ("overlap", "gram_matrix", "normalize", "make_quasi_bell",
+                 "generate_from_dynamics", "combined_op")
+        for module in (algebra, bell, checks, cli, protocol, reports):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(CoherentSuperposition, "__init__", refuse)
+        assert run_cli(*argv) == 0
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, want.err)
+
 
 class TestReportHelpers:
     def test_csv_formatting_stable(self):
@@ -393,6 +461,11 @@ class TestReportHelpers:
         xs = [2.0, 4.0, 8.0]
         ys = [x ** -2 for x in xs]
         assert loglog_slope(xs, ys) == pytest.approx(-2.0, abs=1e-12)
+
+    def test_loglog_slope_none_without_a_fit(self):
+        assert loglog_slope([3.0], [0.5]) is None
+        assert loglog_slope([3.0, 3.0], [0.5, 0.25]) is None
+        assert loglog_slope([2.0, 4.0], [0.5, 0.0]) is None
 
     def test_parser_subcommands(self):
         parser = build_parser()

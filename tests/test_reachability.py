@@ -48,13 +48,19 @@ _PAYLOAD = {"c_a": [0.6, 0.1], "c_b": 0.8}
 #: in an argument is the scratch directory
 CORPUS = [
     (["validate", "--self-test"], None, 1),
+    (["validate"], None, 0),
     (["bell", "--out", "{work}/bell.csv"], {"alpha": 2.0, "beta": 1.5}, 0),
     (["bell", "--format", "json"], None, 0),
     (["eigen"], {"amplitudes": [4.0, 8.0], "n": 1, "m": 2}, 0),
     (["eigen", "--format", "json"], None, 0),
+    # |eps|^2 underflows at 1e200: a zero residual and no slope
+    (["eigen"], {"amplitudes": [4.0, 1e200]}, 0),
+    # |eps|^2 overflows at 1e-160: residual 1.0, no traceback
+    (["eigen"], {"amplitudes": [1e-160]}, 0),
     (["sweep"], dict(_PAYLOAD, grid=[2, 4], path="homodyne"), 0),
     (["sweep", "--format", "json", "--out", "{work}/sweep.json"],
      {"grid": [3]}, 0),
+    (["sweep"], {"grid": [3]}, 0),
     (["teleport", "--format", "json"],
      dict(_PAYLOAD, alpha=2.0, beta=2.5, gamma=1.5), 0),
     (["teleport", "--seed", "7", "--out", "{work}/run.csv"],
@@ -71,9 +77,11 @@ CORPUS = [
     (["teleport"], {"gamma": 1e-160, "c_a": 1.0, "c_b": -1.0}, 1),
     (["teleport"], {"alfa": 1.0}, 2),
     (["teleport"], {"alpha": "3"}, 2),
+    (["teleport"], '{"alpha": Infinity}', 2),
     (["teleport"], {"c_a": [1, 2, 3]}, 2),
     (["teleport"], {"trials": 0, "mode": "sample"}, 2),
     (["teleport"], {"freqs": [[3, 1], [2, 2]], "path": "homodyne"}, 2),
+    (["homodyne"], {"freqs": [[2, 2]]}, 2),
     (["teleport"], {"collapse": "branch"}, 2),
     (["teleport"], {"trials": 10}, 2),
     (["teleport"], '{"alpha": 2.0,\n  broken\n}', 2),
