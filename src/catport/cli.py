@@ -21,8 +21,9 @@ import sys
 from . import __version__
 from .bell import FREQUENCY_TABLE, LABELS, frequency_row, gram_closed_form
 from .checks import run_checks
-from .protocol import (MAX_TRIALS, TargetState, classical_baseline,
-                       run_teleport_homodyne, run_teleport_ideal)
+from .protocol import (DEFAULT_FREQS, MAX_TRIALS, TargetState,
+                       classical_baseline, run_teleport_homodyne,
+                       run_teleport_ideal)
 from .reports import (EIGEN_SWEEP_COLUMNS, FIDELITY_SWEEP_COLUMNS,
                       RESULT_COLUMNS, rows_to_csv, run_to_json_doc,
                       run_to_rows, sweep_eigen_rows, sweep_fidelity_rows)
@@ -68,8 +69,6 @@ def _take(cfg: dict, schema: dict) -> dict:
         if key in cfg:
             try:
                 out[key] = validate(cfg[key])
-            except ConfigError:
-                raise
             except Exception as exc:
                 raise ConfigError(f"config key '{key}': {exc}") from exc
         else:
@@ -151,7 +150,7 @@ _TELEPORT_SCHEMA = {
     "path": (_choice("ideal", "homodyne"), "ideal"),
     "mode": (_choice("enumerate", "sample"), "enumerate"),
     "trials": (_pos_int, 1),
-    "freqs": (_freqs, ((2, 2), (2, 2))),
+    "freqs": (_freqs, DEFAULT_FREQS),
     "collapse": (_choice("exact", "branch"), "exact"),
     "baseline_trials": (_nonneg_int, 0),
 }
@@ -187,6 +186,7 @@ def _emit(payload: str, out: str | None):
 
 
 def _emit_rows(rows, columns, args):
+    """CSV rows under columns, or rows (any JSON value) as JSON."""
     if args.format == "csv":
         _emit(rows_to_csv(rows, columns), args.out)
     else:
@@ -231,8 +231,7 @@ def cmd_eigen(args) -> int:
     return EXIT_OK
 
 
-def _run_protocol(cfg, args):
-    target = TargetState(cfg["c_a"], cfg["c_b"], cfg["gamma"])
+def _run_protocol(cfg, target, args):
     if cfg["path"] == "ideal":
         return run_teleport_ideal(target, cfg["alpha"], cfg["beta"],
                                   mode=cfg["mode"], seed=args.seed,
@@ -255,22 +254,21 @@ def cmd_teleport(args, force_path=None) -> int:
     if unread:
         raise ConfigError(f"config key(s) {', '.join(unread)} do not apply "
                           f"to path '{cfg['path']}', mode '{cfg['mode']}'")
-    run = _run_protocol(cfg, args)
+    target = TargetState(cfg["c_a"], cfg["c_b"], cfg["gamma"])
+    run = _run_protocol(cfg, target, args)
     baseline = None
     if cfg["baseline_trials"]:
-        baseline = classical_baseline(
-            TargetState(cfg["c_a"], cfg["c_b"], cfg["gamma"]),
-            cfg["alpha"], cfg["beta"], cfg["baseline_trials"],
-            seed=args.seed)
+        baseline = classical_baseline(target, cfg["alpha"], cfg["beta"],
+                                      cfg["baseline_trials"], seed=args.seed)
     if args.format == "csv":
-        _emit(rows_to_csv(run_to_rows(run), RESULT_COLUMNS), args.out)
+        records = run_to_rows(run)
     else:
-        doc = run_to_json_doc(run)
+        records = run_to_json_doc(run)
         if baseline is not None:
-            doc["baseline"] = {"trials": cfg["baseline_trials"],
-                               "guess_rate": baseline[0],
-                               "avg_fidelity": baseline[1]}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+            records["baseline"] = {"trials": cfg["baseline_trials"],
+                                   "guess_rate": baseline[0],
+                                   "avg_fidelity": baseline[1]}
+    _emit_rows(records, RESULT_COLUMNS, args)
     print(f"average fidelity {run.average_fidelity!r}  "
           f"inconclusive rate {run.inconclusive_rate!r}", file=sys.stderr)
     if baseline is not None and args.format == "csv":

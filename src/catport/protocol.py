@@ -43,19 +43,18 @@ for a sign pair the Kronecker product of the half-line matrices
 [s q, 1 - e]]/4 with q = erf(sqrt(2) x) = 1 - 2m.  The kernel is plain
 complex arithmetic (numpy only draws seeded counts), reading the weight
 and every fidelity off one 2x2 Hermitian matrix per outcome.  The frame
-enters only in the records, which keep the receiver's frame 2-vector:
-no run builds a symbolic state, and a record builds its collapsed state
-once, when it is first read (as a JSON record does), and corrects that
-state.  The Bell measurement and the exact collapse are both complete
-on the payload's span, so a run's inconclusive_rate is the rounding
-defect max(0, 1 - sum p).
+enters only in the records, which keep the receiver's frame 2-vector
+as plain numbers: no run builds a symbolic state; the JSON writer
+(reports.run_to_json_doc) builds each branch's state from its vector.
+The Bell measurement and the exact collapse are both complete on the
+payload's span, so a run's inconclusive_rate is the rounding defect
+max(0, 1 - sum p).
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -63,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (CoherentSuperposition, DegenerateStateError, _kernel,
-                      norm, normalize, partial_overlap, tensor)
+                      normalize, partial_overlap, tensor)
 # not called here: perfbench/selftest.py checks that the benchmark's tracer
 # rebinds algebra.overlap in this module too (ROADMAP item 1)
 from .algebra import overlap  # noqa: F401
@@ -372,21 +371,6 @@ class MeasurementOutcome:
     eigen_bits: tuple | None
     probability: float
     frame: tuple
-    beta: float
-
-    @functools.cached_property
-    def _receiver(self):
-        """(v0|beta> + v1|-beta> normalized, True) for frame = (v0, v1), or
-        (the zero state, False) when the branch vanished; built once, when
-        first read."""
-        v0, v1 = self.frame
-        raw = CoherentSuperposition(1, ((v0, (self.beta,)),
-                                        (v1, (-self.beta,))))
-        return (normalize(raw), True) if norm(raw) > 0 else (raw, False)
-
-    @property
-    def collapsed_bob(self) -> CoherentSuperposition:
-        return self._receiver[0]
 
 
 @dataclass(frozen=True)
@@ -396,12 +380,6 @@ class ProtocolResult:
     outcome: MeasurementOutcome
     correction: CorrectionLabel
     branch_fidelity: float
-
-    @property
-    def bob_after(self) -> CoherentSuperposition:
-        bob, nonzero = self.outcome._receiver
-        return (apply_correction(bob, self.correction, self.outcome.beta)
-                if nonzero else bob)
 
 
 @dataclass(frozen=True)
@@ -417,10 +395,10 @@ class ProtocolRun:
     branches: tuple
     inconclusive_rate: float
     average_fidelity: float
-    mode: str = "enumerate"
-    seed: int | None = None
-    trials: int | None = None
-    counts: tuple | None = None
+    mode: str
+    seed: int | None
+    trials: int | None
+    counts: tuple | None
     misclassification: dict | None = None
     collapse: str | None = None
     freqs: tuple | None = None
@@ -429,8 +407,7 @@ class ProtocolRun:
         return np.array([b.outcome.probability for b in self.branches])
 
 
-def _check_inputs(alpha: float, beta: float, mode: str = "enumerate",
-                  trials: int = 1):
+def _check_inputs(alpha: float, beta: float, mode: str, trials: int):
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise ValueError("alpha and beta must be positive and finite")
     if mode not in ("enumerate", "sample"):
@@ -454,9 +431,8 @@ def _build_run(path: str, target: TargetState, alpha: float, beta: float,
                  for row in rows]
     # the records hold the receiver's frame coordinates S v / 2
     branches = [
-        ProtocolResult(MeasurementOutcome(label, bits, p,
-                                          ((x0 + x1) / 2, (x0 - x1) / 2),
-                                          beta), corr, f)
+        ProtocolResult(MeasurementOutcome(
+            label, bits, p, ((x0 + x1) / 2, (x0 - x1) / 2)), corr, f)
         for (label, bits), corr, (x0, x1), p, f in zip(
             outcomes, corrections, comps, probs, fids)]
     counts = None

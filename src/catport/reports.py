@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bell import LABELS, DisplacementQuantum, eigen_residual
-from .protocol import (ProtocolRun, TargetState, run_teleport_homodyne,
+from .algebra import CoherentSuperposition, norm, normalize
+from .bell import DisplacementQuantum, eigen_residual
+from .protocol import (ProtocolResult, ProtocolRun, TargetState,
+                       apply_correction, run_teleport_homodyne,
                        run_teleport_ideal)
 
 __all__ = [
@@ -30,8 +32,8 @@ RESULT_COLUMNS = ("alpha", "beta", "gamma", "c_a_re", "c_a_im", "c_b_re",
                   "c_b_im", "path", "branch", "probability", "fidelity",
                   "avg_fidelity", "inconclusive_rate", "seed")
 
-EIGEN_SWEEP_COLUMNS = ("alpha", "beta", "operator", "label", "n", "m",
-                       "residual", "slope")
+EIGEN_SWEEP_COLUMNS = ("alpha", "beta", "operator", "n", "m", "residual",
+                       "slope")
 
 FIDELITY_SWEEP_COLUMNS = ("alpha", "beta", "gamma", "c_a_re", "c_a_im",
                           "c_b_re", "c_b_im", "path", "avg_fidelity",
@@ -78,6 +80,17 @@ def run_to_rows(run: ProtocolRun) -> list[dict]:
     return rows
 
 
+def _receiver_states(branch: ProtocolResult, beta: float):
+    """(v0|beta> + v1|-beta> normalized, that state corrected) for a branch
+    with frame (v0, v1); the zero state twice if the branch vanished."""
+    v0, v1 = branch.outcome.frame
+    bob = CoherentSuperposition(1, ((v0, (beta,)), (v1, (-beta,))))
+    if not norm(bob) > 0:
+        return bob, bob
+    bob = normalize(bob)
+    return bob, apply_correction(bob, branch.correction, beta)
+
+
 def run_to_json_doc(run: ProtocolRun) -> dict:
     """Richer JSON record, including states, bits, counts and diagnostics."""
     doc = {
@@ -100,6 +113,7 @@ def run_to_json_doc(run: ProtocolRun) -> dict:
     if run.freqs is not None:
         doc["freqs"] = [list(r) for r in run.freqs]
     for br in run.branches:
+        bob, after = _receiver_states(br, run.beta)
         doc["branches"].append({
             "branch": br.outcome.label,
             "eigen_bits": list(br.outcome.eigen_bits)
@@ -107,8 +121,8 @@ def run_to_json_doc(run: ProtocolRun) -> dict:
             "probability": br.outcome.probability,
             "correction": br.correction.value,
             "fidelity": br.branch_fidelity,
-            "collapsed_bob": br.outcome.collapsed_bob.to_dict(),
-            "bob_after": br.bob_after.to_dict(),
+            "collapsed_bob": bob.to_dict(),
+            "bob_after": after.to_dict(),
         })
     return doc
 
@@ -128,18 +142,17 @@ def sweep_eigen_rows(amplitudes, operator: str, n: int,
     """Eigen-residual of one combined operator over an amplitude grid.
 
     alpha = beta at each grid point.  The residual is the same for every
-    label, so the rows run over LABELS, then the grid.  A fitted log-log
-    slope column (expected near -2) is attached to every row when
-    `loglog_slope` finds one.
+    label, so there is one row per grid point.  A fitted log-log slope
+    column (expected near -2) is attached to every row when `loglog_slope`
+    finds one.
     """
     q = DisplacementQuantum(n, m)
     residuals = [eigen_residual(operator, q, a, a) for a in amplitudes]
     slope = loglog_slope(amplitudes, residuals)
     return [
-        {"alpha": float(a), "beta": float(a), "operator": operator,
-         "label": label.value, "n": n, "m": m, "residual": r,
-         "slope": slope}
-        for label in LABELS for a, r in zip(amplitudes, residuals)
+        {"alpha": float(a), "beta": float(a), "operator": operator, "n": n,
+         "m": m, "residual": r, "slope": slope}
+        for a, r in zip(amplitudes, residuals)
     ]
 
 

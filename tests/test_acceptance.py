@@ -61,7 +61,7 @@ def test_criterion_01_frequency_table_reproduction():
 
 def test_criterion_02_backend_equivalence():
     t0 = time.monotonic()
-    result = check_backend_equivalence(seed=20260808, pipelines=50)
+    result = check_backend_equivalence(seed=20260808)
     elapsed = time.monotonic() - t0
     ok = result.passed and elapsed < 30.0
     report("2 backend-equivalence", ok, f"{result.detail}, {elapsed:.1f}s (<30s)")

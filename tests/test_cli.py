@@ -341,8 +341,8 @@ class TestSweepCommand:
         assert run_cli("eigen", "--out", str(out)) == 0
         blocks = {}
         for row in csv.DictReader(out.read_text().splitlines()):
-            blocks.setdefault((row["operator"], row["label"]), []).append(row)
-        assert len(blocks) == 8
+            blocks.setdefault(row["operator"], []).append(row)
+        assert len(blocks) == 2
         for rows in blocks.values():
             assert [float(r["alpha"]) for r in rows] == [4.0, 8.0, 16.0, 32.0]
             assert all(abs(float(r["slope"]) + 2.0) < 0.1 for r in rows)
@@ -383,8 +383,9 @@ class TestBellEigenCommands:
         out = tmp_path / "eigen.csv"
         assert run_cli("eigen", "--config", str(cfg), "--out", str(out)) == 0
         lines = out.read_text().splitlines()
-        # 2 operators x 4 labels x 2 amplitudes
-        assert len(lines) == 17
+        # 2 operators x 2 amplitudes: the residual is the same for every label
+        assert len(lines) == 5
+        assert lines[0] == "alpha,beta,operator,n,m,residual,slope"
 
     def test_eigen_underflow_writes_no_nan(self, tmp_path, capsys):
         # at 1e200 |eps|^2 underflows and the residual is 0.0: no log-log
@@ -394,7 +395,7 @@ class TestBellEigenCommands:
         assert run_cli("eigen", "--config", str(cfg)) == 0
         captured = capsys.readouterr()
         rows = list(csv.DictReader(captured.out.splitlines()))
-        assert len(rows) == 16 and all(r["slope"] == "" for r in rows)
+        assert len(rows) == 4 and all(r["slope"] == "" for r in rows)
         assert captured.err == ""
         assert run_cli("eigen", "--config", str(cfg), "--format", "json") == 0
         captured = capsys.readouterr()

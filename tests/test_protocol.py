@@ -597,7 +597,8 @@ class TestBranchMapsAgainstFullState:
                 after = apply_correction(normalize(raw), corr, beta)
                 assert abs(br.outcome.probability - norm(raw) ** 2) < 1e-12
                 assert abs(br.branch_fidelity - fidelity(after, ideal)) < 1e-12
-                assert fidelity(br.outcome.collapsed_bob, raw) > 1 - 1e-12
+                bob, _ = reports._receiver_states(br, run.beta)
+                assert fidelity(bob, raw) > 1 - 1e-12
 
     def test_branch_collapse_over_all_frequency_rows(self):
         for i, (target, alpha, beta) in enumerate(_random_cases(202, 32)):
@@ -618,11 +619,13 @@ class TestBranchMapsAgainstFullState:
                 assert abs(br.outcome.probability
                            - norm(comp) ** 2 / total) < 1e-12
                 assert abs(br.branch_fidelity - fidelity(after, ideal)) < 1e-12
-                assert fidelity(br.outcome.collapsed_bob, comp) > 1 - 1e-12
+                bob, _ = reports._receiver_states(br, run.beta)
+                assert fidelity(bob, comp) > 1 - 1e-12
 
     def test_deferred_states_match_kernel_fidelities(self):
-        # each record's states, built on access, against the ideal state:
-        # the fidelity the kernel reported, and unit norm or the zero state
+        # each record's states, built by the JSON writer, against the ideal
+        # state: the fidelity the kernel reported, and unit norm or the
+        # zero state
         cases = list(_random_cases(505, 24))
         cases += [(TargetState(1.0, s, g), a, b)
                   for s in (1.0, -1.0) for g, a, b in ((0.9, 1.3, 2.1),
@@ -634,8 +637,8 @@ class TestBranchMapsAgainstFullState:
                             target, alpha, beta, collapse="branch",
                             freqs=_ROW_PAIRS[i % len(_ROW_PAIRS)])):
                 for br in run.branches:
-                    after = br.bob_after
-                    for state in (br.outcome.collapsed_bob, after):
+                    bob, after = reports._receiver_states(br, run.beta)
+                    for state in (bob, after):
                         assert not state.terms or abs(norm(state) - 1) < 1e-12
                     assert abs(fidelity(after, ideal)
                                - br.branch_fidelity) < 1e-12
@@ -667,9 +670,9 @@ class TestBranchMapsAgainstFullState:
 
         counting(protocol, "three_mode_state")
         counting(protocol, "generate_from_dynamics")
-        counting(protocol, "apply_correction")
-        counting(protocol, "norm")
-        counting(protocol, "normalize")
+        counting(reports, "apply_correction")
+        counting(reports, "norm")
+        counting(reports, "normalize")
         counting(np.linalg, "eigh")
         counting(CoherentSuperposition, "__post_init__")
         assert not hasattr(protocol, "half_line_overlap")
@@ -684,7 +687,7 @@ class TestBranchMapsAgainstFullState:
             assert calls.get("three_mode_state", 0) == 0
             assert calls.get("generate_from_dynamics", 0) == 0
             assert calls.get("eigh", 0) == 0
-            # the records keep numbers: states are built only when read
+            # the records keep numbers: only the JSON writer builds states
             assert calls.get("apply_correction", 0) == 0
             assert calls.get("norm", 0) == calls.get("normalize", 0) == 0
             assert calls.get("__post_init__", 0) == 0
@@ -698,16 +701,42 @@ class TestBranchMapsAgainstFullState:
 
     def test_json_record_builds_each_receiver_state_once(self, monkeypatch):
         calls = []
-        real = protocol.normalize
+        real = reports.normalize
 
         def counting(state):
             calls.append(1)
             return real(state)
-        monkeypatch.setattr(protocol, "normalize", counting)
+        monkeypatch.setattr(reports, "normalize", counting)
         run = run_teleport_ideal(TargetState(0.6, 0.8j, 2.0), 2.0, 2.5)
         doc = reports.run_to_json_doc(run)
         # one receiver state per branch, read by both of its state fields
         assert len(doc["branches"]) == 4 and len(calls) == 4
+
+    def test_json_states_equal_symbolic_reference(self):
+        # each branch's JSON states against v0|beta> + v1|-beta> built from
+        # its frame, normalized and then corrected; at beta = 1e-12 the
+        # c_b = 1 sign pairs T+A-, T-A- vanish and both fields are zero
+        t = TargetState(0.6, 0.8j, 2.0)
+        runs = [run_teleport_ideal(t, 2.0, 2.5),
+                run_teleport_homodyne(t, 2.0, 2.5, freqs=((1, 2), (2, 1))),
+                run_teleport_homodyne(t, 2.0, 2.5, collapse="branch"),
+                run_teleport_homodyne(TargetState(1.0, 1.0, 1.0), 1.0, 1e-12)]
+        vanished = 0
+        for run in runs:
+            doc = reports.run_to_json_doc(run)
+            for br, rec in zip(run.branches, doc["branches"], strict=True):
+                v0, v1 = br.outcome.frame
+                raw = coh(run.beta, v0) + coh(-run.beta, v1)
+                if norm(raw) > 0:
+                    bob = normalize(raw)
+                    after = apply_correction(bob, br.correction, run.beta)
+                else:
+                    bob = after = raw
+                    vanished += 1
+                    assert not raw.terms
+                assert rec["collapsed_bob"] == bob.to_dict()
+                assert rec["bob_after"] == after.to_dict()
+        assert vanished == 2
 
     @pytest.mark.parametrize("freqs", _ROW_PAIRS)
     def test_table_probes_equal_symbolic_probes(self, freqs):
