@@ -247,19 +247,6 @@ class CoherentSuperposition:
         """Largest |amplitude| over all terms and modes (0 for the zero state)."""
         return max((abs(a) for t in self.terms for a in t.amps), default=0.0)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON document {num_modes, terms:[{coeff:[re,im], amps:[[re,im],..]}]}."""
-        return {
-            "num_modes": self.num_modes,
-            "terms": [
-                {"coeff": [t.coeff.real, t.coeff.imag],
-                 "amps": [[a.real, a.imag] for a in t.amps]}
-                for t in self.terms
-            ],
-        }
-
 
 # -- inner products ----------------------------------------------------------
 

@@ -22,8 +22,8 @@ from . import __version__
 from .bell import FREQUENCY_TABLE, LABELS, frequency_row, gram_closed_form
 from .checks import run_checks
 from .protocol import (DEFAULT_FREQS, MAX_TRIALS, TargetState,
-                       classical_baseline, run_teleport_homodyne,
-                       run_teleport_ideal)
+                       classical_baseline, correction_mu,
+                       run_teleport_homodyne, run_teleport_ideal)
 from .reports import (EIGEN_SWEEP_COLUMNS, FIDELITY_SWEEP_COLUMNS,
                       RESULT_COLUMNS, rows_to_csv, run_to_json_doc,
                       run_to_rows, sweep_eigen_rows, sweep_fidelity_rows)
@@ -98,6 +98,13 @@ def _positive(x) -> float:
     return v
 
 
+def _beta(x) -> float:
+    v = _positive(x)
+    if not math.isfinite(correction_mu(v).imag):
+        raise ValueError(f"{v} is too small: the correction overflows")
+    return v
+
+
 def _complex_field(x) -> complex:
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
@@ -143,7 +150,7 @@ def _freqs(x):
 
 _TELEPORT_SCHEMA = {
     "alpha": (_positive, 3.0),
-    "beta": (_positive, 3.0),
+    "beta": (_beta, 3.0),
     "gamma": (_positive, 3.0),
     "c_a": (_complex_field, complex(1.0)),
     "c_b": (_complex_field, complex(0.0)),
@@ -156,7 +163,7 @@ _TELEPORT_SCHEMA = {
 }
 
 _SWEEP_SCHEMA = {
-    "grid": (_grid, _REQUIRED),
+    "grid": (lambda x: [_beta(v) for v in _grid(x)], _REQUIRED),
     "c_a": (_complex_field, complex(1.0)),
     "c_b": (_complex_field, complex(0.0)),
     "path": (_choice("ideal", "homodyne"), "ideal"),
@@ -190,7 +197,8 @@ def _emit_rows(rows, columns, args):
     if args.format == "csv":
         _emit(rows_to_csv(rows, columns), args.out)
     else:
-        _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(rows, indent=2, sort_keys=True, allow_nan=False)
+              + "\n", args.out)
 
 
 def cmd_validate(args) -> int:

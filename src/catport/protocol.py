@@ -44,8 +44,8 @@ for a sign pair the Kronecker product of the half-line matrices
 complex arithmetic (numpy only draws seeded counts), reading the weight
 and every fidelity off one 2x2 Hermitian matrix per outcome.  The frame
 enters only in the records, which keep the receiver's frame 2-vector
-as plain numbers: no run builds a symbolic state; the JSON writer
-(reports.run_to_json_doc) builds each branch's state from its vector.
+as plain numbers: no run builds a symbolic state, and the JSON writer
+(reports.run_to_json_doc) prints each branch's vector normalized.
 The Bell measurement and the exact collapse are both complete on the
 payload's span, so a run's inconclusive_rate is the rounding defect
 max(0, 1 - sum p).

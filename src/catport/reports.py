@@ -8,13 +8,13 @@ carries its seed in-band.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .algebra import CoherentSuperposition, norm, normalize
 from .bell import DisplacementQuantum, eigen_residual
-from .protocol import (ProtocolResult, ProtocolRun, TargetState,
-                       apply_correction, run_teleport_homodyne,
-                       run_teleport_ideal)
+from .protocol import (ProtocolRun, TargetState, _cat_norms2,
+                       run_teleport_homodyne, run_teleport_ideal)
 
 __all__ = [
     "RESULT_COLUMNS",
@@ -80,19 +80,22 @@ def run_to_rows(run: ProtocolRun) -> list[dict]:
     return rows
 
 
-def _receiver_states(branch: ProtocolResult, beta: float):
-    """(v0|beta> + v1|-beta> normalized, that state corrected) for a branch
-    with frame (v0, v1); the zero state twice if the branch vanished."""
-    v0, v1 = branch.outcome.frame
-    bob = CoherentSuperposition(1, ((v0, (beta,)), (v1, (-beta,))))
-    if not norm(bob) > 0:
-        return bob, bob
-    bob = normalize(bob)
-    return bob, apply_correction(bob, branch.correction, beta)
+def _unit_frame(frame, beta: float) -> list:
+    """[[re, im], [re, im]] of (v0, v1) scaled so that v0|beta> + v1|-beta>
+    has unit norm on the cats, even |v0 + v1|^2 + odd |v0 - v1|^2 = 1;
+    zero where that norm is 0 in floats, as _cat_norms2 rules."""
+    v0, v1 = frame
+    even, odd = _cat_norms2(beta)
+    n = math.hypot(math.sqrt(even) * abs(v0 + v1),
+                   math.sqrt(odd) * abs(v0 - v1))
+    if not n > 0:
+        return [[0.0, 0.0], [0.0, 0.0]]
+    return [[v.real / n, v.imag / n] for v in (v0, v1)]
 
 
 def run_to_json_doc(run: ProtocolRun) -> dict:
-    """Richer JSON record, including states, bits, counts and diagnostics."""
+    """Richer JSON record: bits, counts, diagnostics and each branch's
+    receiver frame (see _unit_frame)."""
     doc = {
         "path": run.path,
         "alpha": run.alpha, "beta": run.beta, "gamma": run.gamma,
@@ -113,7 +116,6 @@ def run_to_json_doc(run: ProtocolRun) -> dict:
     if run.freqs is not None:
         doc["freqs"] = [list(r) for r in run.freqs]
     for br in run.branches:
-        bob, after = _receiver_states(br, run.beta)
         doc["branches"].append({
             "branch": br.outcome.label,
             "eigen_bits": list(br.outcome.eigen_bits)
@@ -121,8 +123,7 @@ def run_to_json_doc(run: ProtocolRun) -> dict:
             "probability": br.outcome.probability,
             "correction": br.correction.value,
             "fidelity": br.branch_fidelity,
-            "collapsed_bob": bob.to_dict(),
-            "bob_after": after.to_dict(),
+            "frame": _unit_frame(br.outcome.frame, run.beta),
         })
     return doc
 

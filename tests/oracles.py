@@ -8,8 +8,10 @@ independently, so that every dual-route assertion really has two routes.
 The exceptions check frame reductions, not the kernels, so they work
 on the algebra's symbolic states: ``frame_tensor`` reads a state back
 into frame coefficients, ``ideal_bob`` builds the reference receiver
-state, ``initial_state`` and ``expand_initial`` build the ideal path's
-joint state and its bracketed-form decomposition over the quadruple,
+state, ``receiver_states`` builds a branch's receiver state from its
+frame 2-vector and corrects it, ``initial_state`` and ``expand_initial``
+build the ideal path's joint state and its bracketed-form decomposition
+over the quadruple,
 ``term_pair_sign_statistics`` reuses the algebra's kernels on the
 full symbolic three-mode state, and the frame route below rebuilds the
 protocol's tables on the coherent frames {|x>, |-x>} the way the package
@@ -30,6 +32,10 @@ import math
 
 import mpmath
 import numpy as np
+
+#: the receiver's correction displacement in units of pi/beta:
+#: mu beta = i pi MU_BETA_OVER_PI, read by every oracle that corrects
+MU_BETA_OVER_PI = 0.5
 
 
 def coherent_vec(dim: int, amp: complex) -> np.ndarray:
@@ -195,7 +201,7 @@ def protocol_pipeline(c_a: complex, c_b: complex, gamma: float, alpha: float,
 
     ideal = c_a * coherent_vec(dim, beta) + c_b * coherent_vec(dim, -beta)
     ideal = ideal / np.linalg.norm(ideal)
-    mu = 1j * math.pi / (2 * beta)
+    mu = 1j * math.pi * MU_BETA_OVER_PI / beta
     corrections = [
         np.eye(dim, dtype=complex),
         parity_mat(dim),
@@ -241,6 +247,21 @@ def ideal_bob(target, beta: float):
 
     return normalize(CoherentSuperposition.coherent([beta], target.c_a)
                      + CoherentSuperposition.coherent([-beta], target.c_b))
+
+
+def receiver_states(frame, correction, beta: float):
+    """(v0|beta> + v1|-beta> normalized, that state corrected) for a
+    branch's frame (v0, v1); the zero state twice if the branch vanished.
+    The symbolic reference for a JSON branch record's frame."""
+    from catport.algebra import CoherentSuperposition, norm, normalize
+    from catport.protocol import apply_correction
+
+    v0, v1 = frame
+    bob = CoherentSuperposition(1, ((v0, (beta,)), (v1, (-beta,))))
+    if not norm(bob) > 0:
+        return bob, bob
+    bob = normalize(bob)
+    return bob, apply_correction(bob, correction, beta)
 
 
 def initial_state(target, alpha: float, beta: float):
@@ -483,7 +504,7 @@ def _mp_corrected(v, correction: str, beta):
         return 1, v
     if correction == "parity":
         return 1, -v
-    mu = mpmath.mpc(0, mpmath.pi / (2 * beta))
+    mu = mpmath.mpc(0, mpmath.pi * MU_BETA_OVER_PI / beta)
     phase = 1j * mpmath.expj((mu * mpmath.conj(v)).imag)
     return phase, (v + mu if correction == "disp" else -(v + mu))
 

@@ -277,15 +277,6 @@ class TestConsolidation:
                 assert d > DEFAULT_MERGE_TOL
 
 
-class TestSerialization:
-    def test_document_shape(self):
-        s = CoherentSuperposition.coherent([1.0, -2.0], coeff=0.5j)
-        doc = s.to_dict()
-        assert set(doc) == {"num_modes", "terms"}
-        assert doc["terms"][0]["coeff"] == [0.0, 0.5]
-        assert doc["terms"][0]["amps"] == [[1.0, 0.0], [-2.0, 0.0]]
-
-
 class TestModeAlgebra:
     def test_tensor_then_partial_overlap_factorizes(self):
         rng = np.random.default_rng(59)

@@ -296,27 +296,29 @@ class TestTeleportCommand:
             sigma = (p * (1 - p) / n) ** 0.5
             assert abs(count / n - p) <= 3 * sigma + 1e-12
 
-    @pytest.mark.parametrize("settings", [
-        {}, {"path": "homodyne"}, {"path": "homodyne", "collapse": "branch"}],
+    @pytest.mark.parametrize("command, settings", [
+        ("teleport", {}), ("teleport", {"path": "homodyne"}),
+        ("homodyne", {"collapse": "branch"})],
         ids=["ideal", "exact", "branch"])
-    def test_only_json_builds_states(self, tmp_path, capsys, monkeypatch,
-                                     settings):
-        # a CSV record is all numbers; the JSON record builds the states
-        calls = []
-        real = CoherentSuperposition.__post_init__
-
-        def counting(self):
-            calls.append(1)
-            real(self)
-        monkeypatch.setattr(CoherentSuperposition, "__post_init__", counting)
+    def test_no_format_builds_states(self, tmp_path, capsys, monkeypatch,
+                                     command, settings):
+        # both records are all numbers: with every symbolic state refused,
+        # CSV and JSON print what they print without the refusal
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(settings, baseline_trials=100)))
-        assert run_cli("teleport", "--config", str(cfg)) == 0
-        assert not calls
-        assert run_cli("teleport", "--config", str(cfg),
-                       "--format", "json") == 0
-        assert calls
-        capsys.readouterr()
+        outputs = {}
+        for fmt in ("csv", "json"):
+            assert run_cli(command, "--config", str(cfg), "--format",
+                           fmt) == 0
+            outputs[fmt] = capsys.readouterr().out
+
+        def refuse(self):
+            raise AssertionError("a command built a symbolic state")
+        monkeypatch.setattr(CoherentSuperposition, "__post_init__", refuse)
+        for fmt in ("csv", "json"):
+            assert run_cli(command, "--config", str(cfg), "--format",
+                           fmt) == 0
+            assert capsys.readouterr().out == outputs[fmt]
 
 
 class TestSweepCommand:

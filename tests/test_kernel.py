@@ -25,7 +25,7 @@ from catport import cli, protocol
 from catport.protocol import (CORRECTIONS, TargetState, classical_baseline,
                               run_teleport_homodyne, run_teleport_ideal)
 
-from oracles import (FRAME_TO_CAT, einsum_statistics,
+from oracles import (FRAME_TO_CAT, MU_BETA_OVER_PI, einsum_statistics,
                      mp_homodyne_statistics)
 
 S = FRAME_TO_CAT
@@ -152,7 +152,8 @@ def _mp_tables(target, alpha, beta, path, freqs):
     n_even, n_odd = norms2(target.gamma)
     norm = mpmath.sqrt(n_even * abs(even) ** 2 + n_odd * abs(odd) ** 2)
     chat = (even / norm, odd / norm)
-    mu, frame = mpmath.mpc(0, mpmath.pi / (2 * beta)), (beta, -beta)
+    mu = mpmath.mpc(0, mpmath.pi * MU_BETA_OVER_PI / beta)
+    frame = (beta, -beta)
     f = [[mpmath.expj((mu * v).imag) * kernel(u, v + mu) for v in frame]
          for u in frame]
     disp = [[0.25j * (f[0][0] + s * f[1][0] + t * (f[0][1] + s * f[1][1]))

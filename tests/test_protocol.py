@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -23,7 +24,8 @@ from oracles import (FRAME_TO_CAT, displacement_mat, expand_initial,
                      gaussian_negative_mass, half_line_element_quad,
                      half_line_overlap, ideal_bob, initial_state,
                      mp_homodyne_statistics, mp_ideal_statistics, parity_mat,
-                     protocol_pipeline, term_pair_sign_statistics)
+                     protocol_pipeline, receiver_states,
+                     term_pair_sign_statistics)
 
 S = FRAME_TO_CAT
 #: a sign pair's frame row on the measured cats of (T, a): frame
@@ -49,6 +51,23 @@ def kron_effects(effects):
 
 def coh(amp, coeff=1.0):
     return CoherentSuperposition.coherent([amp], coeff)
+
+
+def readme_corrected(frame, correction, beta):
+    """The README's corrected receiver state for frame (v0, v1): identity
+    v0|b> + v1|-b>, parity v0|-b> + v1|b>, and with mu = correction_mu(b),
+    theta = Im(mu b): disp i(v0 e^{i theta}|b + mu> + v1 e^{-i theta}|-b + mu>),
+    parity_disp i(v0 e^{i theta}|-b - mu> + v1 e^{-i theta}|b - mu>)."""
+    v0, v1 = frame
+    if correction is CorrectionLabel.IDENTITY:
+        return coh(beta, v0) + coh(-beta, v1)
+    if correction is CorrectionLabel.PARITY:
+        return coh(-beta, v0) + coh(beta, v1)
+    mu = correction_mu(beta)
+    theta = (mu * beta).imag
+    s = 1 if correction is CorrectionLabel.DISP else -1
+    return (coh(s * (beta + mu), 1j * v0 * cmath.exp(1j * theta))
+            + coh(s * (-beta + mu), 1j * v1 * cmath.exp(-1j * theta)))
 
 
 class TestTargetState:
@@ -597,7 +616,8 @@ class TestBranchMapsAgainstFullState:
                 after = apply_correction(normalize(raw), corr, beta)
                 assert abs(br.outcome.probability - norm(raw) ** 2) < 1e-12
                 assert abs(br.branch_fidelity - fidelity(after, ideal)) < 1e-12
-                bob, _ = reports._receiver_states(br, run.beta)
+                bob, _ = receiver_states(br.outcome.frame, br.correction,
+                                         run.beta)
                 assert fidelity(bob, raw) > 1 - 1e-12
 
     def test_branch_collapse_over_all_frequency_rows(self):
@@ -619,13 +639,14 @@ class TestBranchMapsAgainstFullState:
                 assert abs(br.outcome.probability
                            - norm(comp) ** 2 / total) < 1e-12
                 assert abs(br.branch_fidelity - fidelity(after, ideal)) < 1e-12
-                bob, _ = reports._receiver_states(br, run.beta)
+                bob, _ = receiver_states(br.outcome.frame, br.correction,
+                                         run.beta)
                 assert fidelity(bob, comp) > 1 - 1e-12
 
     def test_deferred_states_match_kernel_fidelities(self):
-        # each record's states, built by the JSON writer, against the ideal
-        # state: the fidelity the kernel reported, and unit norm or the
-        # zero state
+        # each record's states, built from its frame by the symbolic
+        # reference, against the ideal state: the fidelity the kernel
+        # reported, and unit norm or the zero state
         cases = list(_random_cases(505, 24))
         cases += [(TargetState(1.0, s, g), a, b)
                   for s in (1.0, -1.0) for g, a, b in ((0.9, 1.3, 2.1),
@@ -637,7 +658,8 @@ class TestBranchMapsAgainstFullState:
                             target, alpha, beta, collapse="branch",
                             freqs=_ROW_PAIRS[i % len(_ROW_PAIRS)])):
                 for br in run.branches:
-                    bob, after = reports._receiver_states(br, run.beta)
+                    bob, after = receiver_states(br.outcome.frame,
+                                                 br.correction, run.beta)
                     for state in (bob, after):
                         assert not state.terms or abs(norm(state) - 1) < 1e-12
                     assert abs(fidelity(after, ideal)
@@ -670,9 +692,6 @@ class TestBranchMapsAgainstFullState:
 
         counting(protocol, "three_mode_state")
         counting(protocol, "generate_from_dynamics")
-        counting(reports, "apply_correction")
-        counting(reports, "norm")
-        counting(reports, "normalize")
         counting(np.linalg, "eigh")
         counting(CoherentSuperposition, "__post_init__")
         assert not hasattr(protocol, "half_line_overlap")
@@ -687,9 +706,7 @@ class TestBranchMapsAgainstFullState:
             assert calls.get("three_mode_state", 0) == 0
             assert calls.get("generate_from_dynamics", 0) == 0
             assert calls.get("eigh", 0) == 0
-            # the records keep numbers: only the JSON writer builds states
-            assert calls.get("apply_correction", 0) == 0
-            assert calls.get("norm", 0) == calls.get("normalize", 0) == 0
+            # the records keep numbers: no state is built
             assert calls.get("__post_init__", 0) == 0
         calls.clear()
         protocol._ideal_maps(2.0, 1.5)
@@ -699,44 +716,78 @@ class TestBranchMapsAgainstFullState:
         protocol._sign_effects(1.5, 2.0)
         assert calls.get("__post_init__", 0) == 0
 
-    def test_json_record_builds_each_receiver_state_once(self, monkeypatch):
+    def test_json_record_builds_no_state(self, monkeypatch):
         calls = []
-        real = reports.normalize
+        real = CoherentSuperposition.__post_init__
 
         def counting(state):
             calls.append(1)
-            return real(state)
-        monkeypatch.setattr(reports, "normalize", counting)
+            real(state)
+        monkeypatch.setattr(CoherentSuperposition, "__post_init__", counting)
         run = run_teleport_ideal(TargetState(0.6, 0.8j, 2.0), 2.0, 2.5)
         doc = reports.run_to_json_doc(run)
-        # one receiver state per branch, read by both of its state fields
-        assert len(doc["branches"]) == 4 and len(calls) == 4
+        # each branch carries its frame as numbers
+        assert len(doc["branches"]) == 4 and not calls
 
     def test_json_states_equal_symbolic_reference(self):
-        # each branch's JSON states against v0|beta> + v1|-beta> built from
-        # its frame, normalized and then corrected; at beta = 1e-12 the
-        # c_b = 1 sign pairs T+A-, T-A- vanish and both fields are zero
+        # v0|beta> + v1|-beta> rebuilt from each branch's JSON frame against
+        # the symbolic reference built from the record's frame; then every
+        # correction by the README formula against apply_correction on the
+        # rebuilt state
         t = TargetState(0.6, 0.8j, 2.0)
         runs = [run_teleport_ideal(t, 2.0, 2.5),
                 run_teleport_homodyne(t, 2.0, 2.5, freqs=((1, 2), (2, 1))),
-                run_teleport_homodyne(t, 2.0, 2.5, collapse="branch"),
-                run_teleport_homodyne(TargetState(1.0, 1.0, 1.0), 1.0, 1e-12)]
-        vanished = 0
+                run_teleport_homodyne(t, 2.0, 2.5, collapse="branch")]
+        for i, (target, alpha, beta) in enumerate(_random_cases(606, 12)):
+            runs += [run_teleport_ideal(target, alpha, beta),
+                     run_teleport_homodyne(
+                         target, alpha, beta,
+                         freqs=_ROW_PAIRS[i % len(_ROW_PAIRS)]),
+                     run_teleport_homodyne(target, alpha, beta,
+                                           collapse="branch")]
         for run in runs:
             doc = reports.run_to_json_doc(run)
             for br, rec in zip(run.branches, doc["branches"], strict=True):
-                v0, v1 = br.outcome.frame
-                raw = coh(run.beta, v0) + coh(-run.beta, v1)
-                if norm(raw) > 0:
-                    bob = normalize(raw)
-                    after = apply_correction(bob, br.correction, run.beta)
-                else:
-                    bob = after = raw
-                    vanished += 1
-                    assert not raw.terms
-                assert rec["collapsed_bob"] == bob.to_dict()
-                assert rec["bob_after"] == after.to_dict()
-        assert vanished == 2
+                v0, v1 = (complex(*v) for v in rec["frame"])
+                bob, after = receiver_states(br.outcome.frame, br.correction,
+                                             run.beta)
+                rebuilt = coh(run.beta, v0) + coh(-run.beta, v1)
+                assert bob.terms and norm(rebuilt - bob) <= 1e-14
+                assert norm(readme_corrected(
+                    (v0, v1), br.correction, run.beta) - after) <= 1e-14
+                for c in CORRECTIONS:
+                    want = apply_correction(rebuilt, c, run.beta)
+                    got = readme_corrected((v0, v1), c, run.beta)
+                    assert norm(got - want) <= 1e-14
+
+    def test_json_frame_vanishes_with_the_reference(self):
+        # an odd payload at beta below the normal floats: the Phi+- branches
+        # hold the odd cat, the zero state in floats, in both routes
+        run = run_teleport_ideal(TargetState(1.0, -1.0, 30.0), 30.0, 1e-200)
+        doc = reports.run_to_json_doc(run)
+        zero = [rec["frame"] == [[0.0, 0.0], [0.0, 0.0]]
+                for rec in doc["branches"]]
+        assert zero == [not receiver_states(br.outcome.frame, br.correction,
+                                            run.beta)[0].terms
+                        for br in run.branches] == [True, True, False, False]
+
+    def test_small_beta_odd_branches_keep_their_odd_cat(self):
+        # at beta = 1e-12 the odd cat's norm is ~beta^2, far below the
+        # algebra's merge tolerance but a normal float: the T+-A- branches
+        # (p = 0.0114) carry the odd cat, frame ~ (1, -1), at unit norm
+        run = run_teleport_homodyne(TargetState(1.0, 1.0, 1.0), 1.0, 1e-12)
+        doc = reports.run_to_json_doc(run)
+        even, odd = protocol._cat_norms2(run.beta)
+        odd_branches = 0
+        for br, rec in zip(run.branches, doc["branches"], strict=True):
+            v0, v1 = (complex(*v) for v in rec["frame"])
+            assert abs(even * abs(v0 + v1) ** 2
+                       + odd * abs(v0 - v1) ** 2 - 1) < 1e-14
+            if rec["branch"].endswith("A-"):
+                odd_branches += 1
+                assert br.outcome.probability > 0.01
+                assert v0 == -v1 != 0
+        assert odd_branches == 2
 
     @pytest.mark.parametrize("freqs", _ROW_PAIRS)
     def test_table_probes_equal_symbolic_probes(self, freqs):

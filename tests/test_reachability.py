@@ -7,7 +7,9 @@ subcommand, CSV and JSON, both paths and both collapses, enumerate and
 sample, a baseline, non-default frequency rows, ``validate --self-test``
 and the config errors.  ``ast`` lists every ``def`` in the package.  The
 never-entered set must equal ALLOWLIST: new dead code fails, and so does
-an entry whose function is gone or now reached.
+an entry whose function is gone or now reached.  Every JSON document a
+command writes, to stdout or to ``--out``, must parse as strict JSON: a
+NaN or Infinity token fails.
 """
 
 import ast
@@ -37,6 +39,7 @@ ALLOWLIST = {
     "fock.half_line_projector": _PINNED,
     "protocol.LowdinMeasurement.collapse": _PINNED,
     "protocol.LowdinMeasurement.from_set": _PINNED,
+    "protocol.apply_correction": _PINNED,
     "protocol.TargetState.realized":
         "called only by protocol.three_mode_state (pinned)",
     "protocol.three_mode_state": _PINNED,
@@ -75,6 +78,9 @@ CORPUS = [
     (["homodyne", "--format", "json"], {"collapse": "branch"}, 0),
     # an odd payload below 1.1e-154 is the zero state: a check failure
     (["teleport"], {"gamma": 1e-160, "c_a": 1.0, "c_b": -1.0}, 1),
+    # pi/(2 beta) overflows: the correction displacement does not exist
+    (["teleport", "--format", "json"], {"beta": 1e-310}, 2),
+    (["sweep"], {"grid": [1e-310, 1e-5]}, 2),
     (["teleport"], {"alfa": 1.0}, 2),
     (["teleport"], {"alpha": "3"}, 2),
     (["teleport"], '{"alpha": Infinity}', 2),
@@ -101,6 +107,10 @@ import contextlib, io, json, os, sys
 entered = set()
 
 
+def refuse(token):
+    raise ValueError(f"a command wrote the non-JSON token {token}")
+
+
 def hook(frame, event, arg):
     if event == "call":
         entered.add(frame.f_code)
@@ -110,23 +120,31 @@ sys.setprofile(hook)
 from catport import cli
 
 corpus, work = json.load(sys.stdin)
-codes = []
-with contextlib.redirect_stdout(io.StringIO()), \
-        contextlib.redirect_stderr(io.StringIO()):
-    for i, (argv, config) in enumerate(corpus):
-        argv = [a.replace("{work}", work) for a in argv]
-        if config is not None:
-            path = os.path.join(work, f"config{i}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(config)
-            argv += ["--config", path]
+codes, parsed = [], 0
+for i, (argv, config) in enumerate(corpus):
+    argv = [a.replace("{work}", work) for a in argv]
+    if config is not None:
+        path = os.path.join(work, f"config{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config)
+        argv += ["--config", path]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main(argv))
+    if "json" in argv and codes[-1] == 0:
+        text = out.getvalue()
+        if "--out" in argv:
+            with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+                text = fh.read()
+        json.loads(text, parse_constant=refuse)
+        parsed += 1
 sys.setprofile(None)
 package = os.path.dirname(os.path.realpath(cli.__file__))
 entered = sorted({(os.path.realpath(c.co_filename), c.co_firstlineno,
                    c.co_name) for c in entered
                   if os.path.realpath(c.co_filename).startswith(package)})
-print(json.dumps({"codes": codes, "entered": entered}))
+print(json.dumps({"codes": codes, "parsed": parsed, "entered": entered}))
 """
 
 
@@ -165,6 +183,9 @@ def test_every_def_is_reached_or_allowlisted(tmp_path):
     result = json.loads(proc.stdout)
     # the corpus does what it says: each command exits as expected
     assert result["codes"] == [code for _, _, code in CORPUS]
+    # and each JSON document it wrote was strict JSON
+    assert result["parsed"] == sum("json" in argv and code == 0
+                                   for argv, _, code in CORPUS)
     entered = {tuple(e) for e in result["entered"]}
     never = {name for key, name in package_defs().items()
              if key not in entered}
